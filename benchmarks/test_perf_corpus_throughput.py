@@ -12,12 +12,12 @@ three paths:
   single-CPU container it degrades to the serial cache-accelerated path and
   the win comes from the caches and the rule-dispatch index).
 
-Results are written to ``BENCH_pr1.json``.  Acceptance: warm ≥ 3× cold,
+Results are written to ``BENCH_pr1.json`` (only under
+``pytest --write-bench``).  Acceptance: warm ≥ 3× cold,
 parallel batch ≥ 1.5× cold, and every path byte-identical to the cold path.
 """
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -64,7 +64,7 @@ def _measure(sql: list[str]):
     )
 
 
-def test_corpus_throughput_cold_warm_parallel():
+def test_corpus_throughput_cold_warm_parallel(write_bench):
     base = GitHubCorpusGenerator(repos=CORPUS_REPOS).generate()
     corpus = with_duplicates(base, fraction=DUPLICATE_FRACTION)
     sql = list(corpus.iter_sql())
@@ -143,7 +143,7 @@ def test_corpus_throughput_cold_warm_parallel():
         },
         "results_identical_to_cold_path": True,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench(BENCH_PATH, payload)
 
     assert warm_speedup >= 3.0, f"warm cache speedup {warm_speedup:.2f}x < 3x"
     assert parallel_speedup >= 1.5, f"parallel batch speedup {parallel_speedup:.2f}x < 1.5x"

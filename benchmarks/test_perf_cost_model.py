@@ -1,6 +1,7 @@
 """Cost-model ranking overhead and pg_stat ingestion throughput (PR 5).
 
-Three measurements, written to ``BENCH_pr5.json``:
+Three measurements, written to ``BENCH_pr5.json`` (only under
+``pytest --write-bench``):
 
 * **ranking overhead** — ap-rank over the detections of the PR 1 corpus
   (the ~5k-statement duplicate-heavy GitHub-corpus model) under each cost
@@ -19,7 +20,6 @@ Three measurements, written to ``BENCH_pr5.json``:
 """
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -53,32 +53,31 @@ def _corpus() -> "list[str]":
     return list(with_duplicates(base, fraction=DUPLICATE_FRACTION).iter_sql())
 
 
-def _rank_seconds(ranker, report, repeats: int, **kwargs) -> float:
-    start = time.perf_counter()
-    for _ in range(repeats):
-        ranker.rank(report, **kwargs)
-    return (time.perf_counter() - start) / repeats
-
-
 def _measure_ranking(report) -> dict:
+    """Seconds per rank pass under each cost model.
+
+    The models' passes are interleaved, one pass each per repeat with the
+    starting model rotated, so a slow spell on a shared runner lands on all
+    three models alike instead of on whichever block it happens to hit.
+    """
     ranker = APRanker()
     indexed = [d.query_index for d in report.detections if d.query_index is not None]
     frequencies = {index: 2 + (index * 7) % 997 for index in indexed}
     durations = {index: 0.05 + (index * 13) % 400 for index in indexed}
-    results = {
-        "frequency": _rank_seconds(
-            ranker, report, RANK_REPEATS,
-            frequencies=frequencies, cost_model="frequency",
-        ),
-        "duration": _rank_seconds(
-            ranker, report, RANK_REPEATS,
-            frequencies=frequencies, durations=durations, cost_model="duration",
-        ),
-        "hybrid": _rank_seconds(
-            ranker, report, RANK_REPEATS,
-            frequencies=frequencies, durations=durations, cost_model="hybrid",
-        ),
+    facts = {
+        "frequency": {"frequencies": frequencies},
+        "duration": {"frequencies": frequencies, "durations": durations},
+        "hybrid": {"frequencies": frequencies, "durations": durations},
     }
+    models = tuple(facts)
+    totals = dict.fromkeys(models, 0.0)
+    for repeat in range(RANK_REPEATS):
+        shift = repeat % len(models)
+        for model in models[shift:] + models[:shift]:
+            start = time.perf_counter()
+            ranker.rank(report, cost_model=model, **facts[model])
+            totals[model] += time.perf_counter() - start
+    results = {model: seconds / RANK_REPEATS for model, seconds in totals.items()}
     base = results["frequency"]
     return {
         "detections": len(report.detections),
@@ -142,7 +141,7 @@ def _measure_multicore(sql: "list[str]") -> dict:
     }
 
 
-def test_cost_model_ranking_overhead_and_pg_stat_throughput():
+def test_cost_model_ranking_overhead_and_pg_stat_throughput(write_bench):
     sql = _corpus()
     report = APDetector(DetectorConfig(enable_cache=True)).detect(sql)
 
@@ -190,7 +189,7 @@ def test_cost_model_ranking_overhead_and_pg_stat_throughput():
         "pg_stat_reader": pg_stat,
         "multicore": multicore,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench(BENCH_PATH, payload)
 
     base_seconds = ranking["rank_seconds"]["frequency"]
     for model in ("duration", "hybrid"):

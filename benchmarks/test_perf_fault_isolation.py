@@ -17,13 +17,13 @@ Measures:
   the clean original; the degraded read must recover exactly the clean
   statement fold.
 
-Results are written to ``BENCH_pr6.json``.  Acceptance: quarantine
+Results are written to ``BENCH_pr6.json`` (only under
+``pytest --write-bench``).  Acceptance: quarantine
 overhead ≤ 5%, and the 5%-corrupted read sustains ≥ 60% of clean
 throughput while recovering the clean statements exactly.
 """
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -146,7 +146,7 @@ def _measure_corrupted_ingestion() -> dict:
     }
 
 
-def test_fault_isolation_overhead_and_degraded_throughput():
+def test_fault_isolation_overhead_and_degraded_throughput(write_bench):
     corpus = _corpus(TEMPLATES)
 
     # Re-measure if a load spike on a shared runner tanks a ratio: the
@@ -197,7 +197,7 @@ def test_fault_isolation_overhead_and_degraded_throughput():
             "degraded_throughput_floor": DEGRADED_THROUGHPUT_FLOOR,
         },
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench(BENCH_PATH, payload)
 
     assert quarantine["overhead_fraction"] <= OVERHEAD_CEILING, (
         f"quarantine wrappers cost {quarantine['overhead_fraction']:.1%} "

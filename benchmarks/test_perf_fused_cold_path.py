@@ -16,12 +16,12 @@ single-CPU container the pool honestly degrades to the serial path and
 records that in ``parallel_mode`` — ``cpu_count`` lands in the payload so
 readers can interpret the numbers.
 
-Results are written to ``BENCH_pr7.json``.  Acceptance: fused cold ≥ 5×
+Results are written to ``BENCH_pr7.json`` (only under
+``pytest --write-bench``).  Acceptance: fused cold ≥ 5×
 the pre-fusion cold path, byte-identical detections on every path.
 """
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -65,7 +65,7 @@ def _measure(sql: list[str]):
     return legacy_seconds, legacy_report, fused_seconds, fused_report
 
 
-def test_fused_cold_path_throughput():
+def test_fused_cold_path_throughput(write_bench):
     base = GitHubCorpusGenerator(repos=CORPUS_REPOS).generate()
     corpus = with_duplicates(base, fraction=DUPLICATE_FRACTION)
     sql = list(corpus.iter_sql())
@@ -146,7 +146,7 @@ def test_fused_cold_path_throughput():
         },
         "results_identical_to_reference": True,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench(BENCH_PATH, payload)
 
     assert speedup >= REQUIRED_SPEEDUP, (
         f"fused cold speedup {speedup:.2f}x < {REQUIRED_SPEEDUP}x"

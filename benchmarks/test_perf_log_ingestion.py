@@ -12,13 +12,13 @@ like real server output:
   the raw text size), and :meth:`LiveScanner.stream_detect` must hold at
   most ``chunk_size`` statements per detection chunk.
 
-Results are written to ``BENCH_pr4.json``.  Acceptance: every reader
+Results are written to ``BENCH_pr4.json`` (only under
+``pytest --write-bench``).  Acceptance: every reader
 parses ≥ 5 000 lines/s, the fold's peak memory stays under a fifth of the
 raw log size, and streamed chunks never exceed their bound.
 """
 from __future__ import annotations
 
-import json
 import os
 import time
 import tracemalloc
@@ -81,7 +81,7 @@ def _measure_format(fmt: str, statements: "list[str]") -> dict:
     }
 
 
-def test_log_ingestion_throughput_and_memory_bound():
+def test_log_ingestion_throughput_and_memory_bound(write_bench):
     statements = _statements(UNIQUE_TEMPLATES)
     formats = ("postgres-csv", "postgres", "mysql", "sql")
 
@@ -150,7 +150,7 @@ def test_log_ingestion_throughput_and_memory_bound():
             "max_statements_resident": max(chunk_sizes),
         },
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench(BENCH_PATH, payload)
 
     for fmt, r in results.items():
         assert r["lines_per_second"] >= MIN_LINES_PER_SECOND, (

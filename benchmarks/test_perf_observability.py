@@ -15,11 +15,11 @@ the ratio is re-measured once before failing.  Correctness first: all
 three modes must produce byte-identical detections (the transparency
 contract, also enforced by ``check_observability_transparency``).
 
-Results are written to ``BENCH_pr9.json``.
+Results are written to ``BENCH_pr9.json`` (only under
+``pytest --write-bench``).
 """
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -69,7 +69,7 @@ def _measure(sql: "list[str]", modes: "dict[str, dict]"):
     return best, reports
 
 
-def test_observability_overhead_budget():
+def test_observability_overhead_budget(write_bench):
     base = GitHubCorpusGenerator(repos=CORPUS_REPOS).generate()
     corpus = with_duplicates(base, fraction=DUPLICATE_FRACTION)
     sql = list(corpus.iter_sql())
@@ -147,7 +147,7 @@ def test_observability_overhead_budget():
         "budget": {"max_metrics_overhead": MAX_METRICS_OVERHEAD},
         "results_identical_across_modes": True,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench(BENCH_PATH, payload)
 
     assert metrics_overhead <= MAX_METRICS_OVERHEAD, (
         f"metrics-on overhead {metrics_overhead:+.1%} exceeds the "

@@ -15,7 +15,8 @@ Two claims, one file:
 
 Correctness first: all three detection runs must produce byte-identical
 reports (also enforced by ``check_service_equivalence`` in the selftest).
-Results are written to ``BENCH_pr10.json``.
+Results are written to ``BENCH_pr10.json`` (only under
+``pytest --write-bench``).
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ def _measure_restart(sql: "list[str]", memo_path: str):
     }
 
 
-def test_warm_restart_speedup(tmp_path):
+def test_warm_restart_speedup(tmp_path, write_bench):
     base = GitHubCorpusGenerator(repos=CORPUS_REPOS).generate()
     corpus = with_duplicates(base, fraction=DUPLICATE_FRACTION)
     sql = list(corpus.iter_sql())
@@ -132,7 +133,7 @@ def test_warm_restart_speedup(tmp_path):
             "min_required_speedup": MIN_RESTART_SPEEDUP,
         },
     }
-    _merge_bench(payload, "warm_restart_speedup")
+    _merge_bench(write_bench, payload, "warm_restart_speedup")
     assert restart_speedup >= MIN_RESTART_SPEEDUP, (
         f"warm restart is only {restart_speedup:.1f}x faster than cold "
         f"(required: {MIN_RESTART_SPEEDUP}x)"
@@ -162,7 +163,7 @@ def _request_burst(host: str, port: int, *, reuse: bool) -> "list[float]":
     return latencies
 
 
-def test_keepalive_vs_per_connection_latency():
+def test_keepalive_vs_per_connection_latency(write_bench):
     with RestServer() as server:
         host, port = server.address
         # Warm the pooled toolchain so neither mode pays first-request setup.
@@ -199,13 +200,13 @@ def test_keepalive_vs_per_connection_latency():
             "speedup_vs_per_connection": round(fresh_mean / reused_mean, 3),
         },
     }
-    _merge_bench(payload, "keepalive_latency")
+    _merge_bench(write_bench, payload, "keepalive_latency")
     # Keep-alive must at minimum not lose to per-request reconnects (some
     # slack: loopback connects are cheap and shared runners are noisy).
     assert reused_mean <= fresh_mean * 1.25
 
 
-def _merge_bench(payload: dict, key: str) -> None:
+def _merge_bench(write_bench, payload: dict, key: str) -> None:
     """Fold one section into BENCH_pr10.json (both tests write the file)."""
     merged = {}
     if BENCH_PATH.exists():
@@ -214,4 +215,4 @@ def _merge_bench(payload: dict, key: str) -> None:
         except (ValueError, OSError):
             merged = {}
     merged[key] = payload
-    BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
+    write_bench(BENCH_PATH, merged)

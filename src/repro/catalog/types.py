@@ -86,6 +86,25 @@ _TYPE_RE = re.compile(
     r"^\s*(?P<name>[A-Za-z][A-Za-z0-9_ ]*)\s*(\(\s*(?P<args>[^)]*)\s*\))?\s*(?P<suffix>.*)$"
 )
 
+# Value-shape patterns of :func:`infer_type_from_value` and
+# :func:`value_has_timezone`.  ``\d`` is any Unicode decimal digit, the
+# same set as ``str.isdecimal``, which the guards in front of them use.
+_INTEGER_TEXT_RE = re.compile(r"[+-]?\d+")
+_DECIMAL_TEXT_RES = (
+    re.compile(r"[+-]?\d*\.\d+([eE][+-]?\d+)?"),
+    re.compile(r"[+-]?\d+\.\d*([eE][+-]?\d+)?"),
+)
+_BOOLEAN_TEXTS = frozenset(("true", "false", "t", "f"))
+_DATE_TEXT_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
+_DATETIME_TEXT_RE = re.compile(
+    r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?([+-]\d{2}:?\d{2}|Z)?"
+)
+_TIME_TEXT_RE = re.compile(r"\d{2}:\d{2}(:\d{2})?")
+_UUID_TEXT_RE = re.compile(
+    r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}"
+)
+_UTC_OFFSET_RE = re.compile(r"([+-]\d{2}:?\d{2}|Z)$")
+
 
 @dataclass(frozen=True)
 class SQLType:
@@ -215,21 +234,26 @@ def infer_type_from_value(value: object) -> TypeFamily:
     text = str(value).strip()
     if not text:
         return TypeFamily.TEXT
-    if re.fullmatch(r"[+-]?\d+", text):
-        return TypeFamily.INTEGER
-    if re.fullmatch(r"[+-]?\d*\.\d+([eE][+-]?\d+)?", text) or re.fullmatch(
-        r"[+-]?\d+\.\d*([eE][+-]?\d+)?", text
-    ):
-        return TypeFamily.APPROXIMATE_NUMERIC
-    if text.lower() in ("true", "false", "t", "f"):
+    # Each guard skips only patterns that cannot match: numbers start with
+    # a sign, a point or a digit; dates and times with a digit; a UUID is
+    # 36 characters; no boolean spelling is longer than five (lower-casing
+    # never shortens a string).
+    lead_digit = text[0].isdecimal()
+    if lead_digit or text[0] in "+-.":
+        if _INTEGER_TEXT_RE.fullmatch(text):
+            return TypeFamily.INTEGER
+        if "." in text and any(pattern.fullmatch(text) for pattern in _DECIMAL_TEXT_RES):
+            return TypeFamily.APPROXIMATE_NUMERIC
+    if len(text) <= 5 and text.lower() in _BOOLEAN_TEXTS:
         return TypeFamily.BOOLEAN
-    if re.fullmatch(r"\d{4}-\d{2}-\d{2}", text):
-        return TypeFamily.DATE
-    if re.fullmatch(r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?([+-]\d{2}:?\d{2}|Z)?", text):
-        return TypeFamily.DATETIME
-    if re.fullmatch(r"\d{2}:\d{2}(:\d{2})?", text):
-        return TypeFamily.TIME
-    if re.fullmatch(r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}", text):
+    if lead_digit:
+        if _DATE_TEXT_RE.fullmatch(text):
+            return TypeFamily.DATE
+        if _DATETIME_TEXT_RE.fullmatch(text):
+            return TypeFamily.DATETIME
+        if _TIME_TEXT_RE.fullmatch(text):
+            return TypeFamily.TIME
+    if len(text) == 36 and _UUID_TEXT_RE.fullmatch(text):
         return TypeFamily.UUID
     return TypeFamily.TEXT
 
@@ -237,6 +261,7 @@ def infer_type_from_value(value: object) -> TypeFamily:
 def value_has_timezone(value: object) -> bool:
     """True when a datetime-looking string carries an explicit UTC offset."""
     text = str(value).strip()
-    return bool(re.search(r"([+-]\d{2}:?\d{2}|Z)$", text)) and bool(
-        re.match(r"\d{4}-\d{2}-\d{2}", text)
-    )
+    # The date prefix needs ten characters with dashes at 4 and 7.
+    if len(text) < 10 or text[4] != "-" or text[7] != "-":
+        return False
+    return _UTC_OFFSET_RE.search(text) is not None and _DATE_TEXT_RE.match(text) is not None

@@ -26,11 +26,13 @@ and raises a :class:`ConnectorError` that points at the query-log readers
 """
 from __future__ import annotations
 
+import random
 import sqlite3
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from ..catalog.ddl_builder import DDLBuilder
 from ..catalog.schema import Column, Schema, Table
@@ -40,6 +42,23 @@ from ..obs import get_metrics, get_tracer
 from ..profiler.profiler import DataProfiler, TableProfile
 
 _T = TypeVar("_T")
+
+#: Seed of every connector-side row sample: a capped scan of an unchanged
+#: table sees the same rows each time.
+SAMPLE_SEED = 7
+
+
+def sample_positions(population: int, limit: int, table: str) -> "list[int]":
+    """``limit`` distinct positions out of ``range(population)``, ascending
+    (all of them when ``population <= limit``).
+
+    The draw is seeded per table (:data:`SAMPLE_SEED` and the lower-cased
+    name), so it repeats across scans and processes.
+    """
+    if population <= limit:
+        return list(range(population))
+    rng = random.Random(f"{SAMPLE_SEED}:{table.lower()}")
+    return sorted(rng.sample(range(population), limit))
 
 
 class ConnectorError(SourceUnavailableError):
@@ -129,9 +148,9 @@ class ConnectedTable:
 
     def all_rows(self) -> "list[dict[str, Any]]":
         if self._rows is None:
-            # Honour the connector's sampling cap here too: data rules reach
-            # rows through this path, and a table too large to fetch whole
-            # must stay sampled for them exactly as it is for the profiler.
+            # Under a scan's sampling cap (Connector.sampling) a larger table
+            # is served as its seeded sample; the profiler and the data rules
+            # both read it from here.
             limit = self._connector.sample_limit
             if (
                 limit is not None
@@ -161,9 +180,10 @@ class Connector:
     #: provenance label (file path, engine name) used as the scan source.
     name: str = "<database>"
     dialect: "str | None" = None
-    #: when set (``LiveScanner.scan(sample_limit=…)`` sets it), every row
-    #: fetch through :meth:`get_table` is capped at this many rows — tables
-    #: larger than the cap are sampled in-database, never pulled whole.
+    #: the row cap of the scan in progress, set only inside
+    #: :meth:`sampling`: every row fetch through :meth:`get_table` is capped
+    #: at this many rows — larger tables are sampled in-database, never
+    #: pulled whole.
     sample_limit: "int | None" = None
     #: transient-failure policy of every guarded operation (schema
     #: introspection, row fetches, counts); replace with :data:`NO_RETRY`
@@ -247,12 +267,12 @@ class Connector:
         raise NotImplementedError
 
     def table_rows(self, table: str, limit: "int | None" = None) -> "list[dict[str, Any]]":
-        """Rows of ``table`` — all of them, or a sample of ``limit``.
+        """Rows of ``table`` — all of them, or a seeded sample of ``limit``.
 
-        When ``limit`` is given the connector may push the sampling down
-        into the database (``ORDER BY random() LIMIT n``) so a table too
-        large to fetch whole never crosses the wire; the base
-        implementation falls back to fetching everything and truncating.
+        A sample holds the rows at :func:`sample_positions` in table order,
+        the same rows on every call while the table is unchanged.
+        Connectors push the pick down into the database where they can, so
+        a table too large to fetch whole never crosses the wire.
         """
         raise NotImplementedError
 
@@ -272,6 +292,26 @@ class Connector:
         self._schema_cache = None
         self._table_cache = None
         return self.schema()
+
+    @contextmanager
+    def sampling(self, limit: "int | None") -> "Iterator[Connector]":
+        """Cap every row fetch at ``limit`` rows for the length of one scan.
+
+        Inside the block, :meth:`get_table` serves a table larger than
+        ``limit`` as one seeded sample (:meth:`table_rows`), fetched once
+        and shared by the profiler and the data rules.  On exit the cap and
+        the sampled rows are dropped, so a later unsampled scan through
+        this connector sees every row.  ``None`` changes nothing.
+        """
+        if limit is None or limit <= 0 or limit == self.sample_limit:
+            yield self
+            return
+        saved = self.sample_limit, self._table_cache
+        self.sample_limit, self._table_cache = limit, None
+        try:
+            yield self
+        finally:
+            self.sample_limit, self._table_cache = saved
 
     def get_table(self, name: str) -> "ConnectedTable | None":
         """Engine-compatible row access for the data rules.
@@ -300,33 +340,28 @@ class Connector:
     ) -> "dict[str, TableProfile]":
         """Profile every table exactly as the offline data analyser does.
 
-        By default rows go through :meth:`get_table`'s cache, so the data
-        rules running later in the same scan reuse them instead of
-        re-fetching.  With ``sample_limit`` set, a table larger than the
-        limit is profiled from a pushed-down random sample instead
-        (:meth:`table_rows` with ``limit``) and the full rows are *not*
-        fetched or cached — the bounded-memory path for tables too big to
-        pull whole.  ``exclude`` names telemetry tables (e.g. a
-        ``pg_stat_statements`` snapshot) that are inputs, not application
-        schema.
+        Rows go through :meth:`get_table`'s cache, so the data rules running
+        later in the same scan reuse them instead of re-fetching.  With
+        ``sample_limit`` set, the profiles are taken inside
+        :meth:`sampling`: a table larger than the limit is profiled from its
+        pushed-down seeded sample, and nothing sampled outlives the call —
+        the bounded-memory path for tables too big to pull whole.
+        ``exclude`` names telemetry tables (e.g. a ``pg_stat_statements``
+        snapshot) that are inputs, not application schema.
         """
         profiler = profiler or DataProfiler()
         schema = self.schema()
         excluded = {name.lower() for name in exclude}
         profiles: "dict[str, TableProfile]" = {}
-        for table in schema.tables.values():
-            if table.name.lower() in excluded:
-                continue
-            if sample_limit is not None and sample_limit > 0 and (
-                self.fetch_row_count(table.name) > sample_limit
-            ):
-                rows = self.fetch_rows(table.name, limit=sample_limit)
-            else:
+        with self.sampling(sample_limit):
+            for table in schema.tables.values():
+                if table.name.lower() in excluded:
+                    continue
                 stored = self.get_table(table.name)
                 rows = stored.all_rows() if stored is not None else []
-            profiles[table.name.lower()] = profiler.profile_rows(
-                table.name, rows, definition=table
-            )
+                profiles[table.name.lower()] = profiler.profile_rows(
+                    table.name, rows, definition=table
+                )
         return profiles
 
     def close(self) -> None:  # pragma: no cover - default is a no-op
@@ -356,7 +391,9 @@ class EngineConnector(Connector):
         if stored is None:
             return []
         rows = stored.all_rows()
-        return rows[:limit] if limit is not None else rows
+        if limit is None:
+            return rows
+        return [rows[i] for i in sample_positions(len(rows), limit, table)]
 
     def table_row_count(self, table: str) -> int:
         stored = self.database.get_table(table)
@@ -365,6 +402,9 @@ class EngineConnector(Connector):
     def get_table(self, name: str):
         # The engine's own stored tables already satisfy the data-rule
         # contract; hand them through so live and offline runs share rows.
+        # A sampled scan needs the capped, cached rows instead.
+        if self.sample_limit is not None:
+            return super().get_table(name)
         return self.database.get_table(name)
 
 
@@ -468,19 +508,54 @@ class SQLiteConnector(Connector):
     # data access
     # ------------------------------------------------------------------
     def table_rows(self, table: str, limit: "int | None" = None) -> "list[dict[str, Any]]":
-        # Sampling push-down: with a limit, the database picks the random
-        # sample and ships only ``limit`` rows — the whole point for tables
-        # too large to fetch over the wire.
+        # Sampling push-down: with a limit, only the rowids are read, the
+        # seeded pick is made over them, and only ``limit`` rows are shipped
+        # — the whole point for tables too large to fetch over the wire.
         query = f"SELECT * FROM {self._quote(table)}"
-        parameters: "tuple[Any, ...]" = ()
-        if limit is not None:
-            query += " ORDER BY random() LIMIT ?"
-            parameters = (int(limit),)
         try:
-            cursor = self._connection.execute(query, parameters)
+            if limit is not None:
+                return self._sample_rows(table, query, int(limit))
+            cursor = self._connection.execute(query)
         except sqlite3.Error as error:
             raise ConnectorError(f"cannot read table {table!r}: {error}") from error
         return [dict(row) for row in cursor.fetchall()]
+
+    def _sample_rows(self, table: str, query: str, limit: int) -> "list[dict[str, Any]]":
+        columns = {
+            entry[0].lower()
+            for entry in self._connection.execute(query + " LIMIT 0").description
+        }
+        # A user column may shadow a rowid alias; WITHOUT ROWID tables have none.
+        alias = next((a for a in ("rowid", "_rowid_", "oid") if a not in columns), None)
+        try:
+            rowids = None if alias is None else [
+                row[0]
+                for row in self._connection.execute(
+                    f"SELECT {alias} FROM {self._quote(table)} ORDER BY {alias}"
+                )
+            ]
+        except sqlite3.OperationalError:
+            rowids = None
+        if rowids is None:
+            # No rowid to pick by: stream the table once and keep the rows
+            # at the seeded positions, so memory stays bounded by the sample.
+            wanted = set(sample_positions(self.table_row_count(table), limit, table))
+            return [
+                dict(row)
+                for position, row in enumerate(self._connection.execute(query))
+                if position in wanted
+            ]
+        picked = [rowids[i] for i in sample_positions(len(rowids), limit, table)]
+        rows: "list[dict[str, Any]]" = []
+        # Chunked under SQLite's smallest bound-parameter limit (999).
+        for start in range(0, len(picked), 900):
+            chunk = picked[start:start + 900]
+            marks = ", ".join("?" * len(chunk))
+            cursor = self._connection.execute(
+                f"{query} WHERE {alias} IN ({marks}) ORDER BY {alias}", chunk
+            )
+            rows.extend(dict(row) for row in cursor)
+        return rows
 
     def table_row_count(self, table: str) -> int:
         try:

@@ -20,6 +20,7 @@ flows through the cached detection pipeline independently.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -119,10 +120,12 @@ class LiveScanner:
         ``workload`` is a :class:`WorkloadLog`, a log-file path (parsed per
         ``log_format``, auto-detected by default), SQL text, or an iterable
         of statements.  At least one of the two must be given.
-        ``sample_limit`` caps the rows profiled per table: tables larger
-        than the cap are sampled *inside* the database (connector
-        push-down, ``ORDER BY random() LIMIT n``) instead of fetched
-        whole — the knob for databases too big to pull across the wire.
+        ``sample_limit`` caps the rows analysed per table for this scan
+        only: a table larger than the cap is sampled *inside* the database
+        (connector push-down of a seeded pick) instead of fetched whole —
+        the knob for databases too big to pull across the wire.  The
+        profiler and the data rules see the same sampled rows, and the
+        same rows on every scan of an unchanged table.
         ``exclude_tables`` names telemetry tables (a ``pg_stat_statements``
         snapshot, migration bookkeeping) to leave out of the analysed
         schema and profiles.
@@ -144,10 +147,9 @@ class LiveScanner:
             # The breaker guards one scan's fetch storm, not the connector's
             # whole lifetime — a later scan gets a fresh chance.
             connector.reset_circuit()
-        if connector is not None and sample_limit is not None and sample_limit > 0:
-            # The cap must hold for *every* row fetch in this scan — the
-            # profiler below and any data rule pulling rows later.
-            connector.sample_limit = sample_limit
+        # The cap holds for *every* row fetch in this scan — the profiler
+        # below and any data rule pulling rows later — and for no other.
+        sampling = connector.sampling(sample_limit) if connector is not None else nullcontext()
 
         toolchain = self.toolchain
         builder = toolchain._builder
@@ -160,7 +162,7 @@ class LiveScanner:
         )
         quarantine = toolchain.options.detector.quarantine
         tracer = get_tracer()
-        with tracer.span("scan", source=label):
+        with tracer.span("scan", source=label), sampling:
             start = now()
             statements = log.statements() if log is not None else []
             context = builder.build(statements, source=label, stats=stats, quarantine=quarantine)
@@ -187,9 +189,7 @@ class LiveScanner:
                 if live_schema.tables or not context.schema.tables:
                     context.schema = live_schema
                 try:
-                    context.profiles = connector.profiles(
-                        builder.profiler, sample_limit=sample_limit, exclude=excluded
-                    )
+                    context.profiles = connector.profiles(builder.profiler, exclude=excluded)
                     context.database = connector
                 except ConnectorError as error:
                     if not quarantine or strict:

@@ -24,7 +24,7 @@ export, MySQL general log, SQLite trace, or plain SQL) whose execution
 frequencies and durations weight the ranking through ``--cost-model
 {frequency,duration,hybrid}``.  ``--pg-stat [TABLE]`` reads a
 ``pg_stat_statements`` snapshot table from ``--db`` as the workload, and
-``--sample N`` profiles large tables from an in-database random sample
+``--sample N`` profiles large tables from an in-database seeded sample
 instead of fetching them whole.  Every ``--format`` of the offline paths
 applies.
 
@@ -204,9 +204,9 @@ def build_scan_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="profile at most N rows per table (N >= 1); larger tables are "
-        "sampled inside the database (ORDER BY random() LIMIT N) instead "
-        "of fetched whole (default: no limit)",
+        help="analyse at most N rows per table (N >= 1); larger tables are "
+        "sampled inside the database (a seeded pick of N rowids, the same on "
+        "every scan) instead of fetched whole (default: no limit)",
     )
     parser.add_argument(
         "--format",

@@ -16,6 +16,8 @@ _PATH_RE = re.compile(
 )
 _EMAIL_RE = re.compile(r"^[\w.+-]+@[\w-]+\.[\w.-]+$")
 _URL_RE = re.compile(r"^https?://", re.IGNORECASE)
+_MEDIA_SUFFIX_RE = re.compile(r"\.(jpg|jpeg|png|gif|pdf|mp3|mp4|zip)$", re.IGNORECASE)
+_LIST_TOKEN_RE = re.compile(r"^[\w.@+-]{1,64}$")
 _PASSWORD_COLUMN_RE = re.compile(r"(passwd|password|pwd|secret)", re.IGNORECASE)
 _HASH_RE = re.compile(r"^[0-9a-fA-F]{32,128}$|^\$2[aby]?\$")
 
@@ -33,32 +35,37 @@ def detect_delimited_values(values: Sequence[str]) -> tuple[str | None, float]:
     hits: dict[str, int] = {d: 0 for d in _DELIMITERS}
     for value in values:
         for delimiter in _DELIMITERS:
-            if _looks_like_list(value, delimiter):
+            if delimiter in value and _looks_like_list(value, delimiter):
                 hits[delimiter] += 1
+    return _most_common_delimiter(hits, len(values))
+
+
+def _most_common_delimiter(hits: dict[str, int], total: int) -> tuple[str | None, float]:
+    """The delimiter with the most list-shaped values (earliest in
+    ``_DELIMITERS`` on ties) and its share of ``total`` values."""
     best = max(hits.items(), key=lambda kv: kv[1])
     if best[1] == 0:
         return None, 0.0
-    return best[0], best[1] / len(values)
+    return best[0], best[1] / total
 
 
 def _looks_like_list(value: str, delimiter: str) -> bool:
     if delimiter not in value:
         return False
-    parts = [p.strip() for p in value.split(delimiter)]
-    if len(parts) < 2:
-        return False
-    # every part must look like an atomic token (identifier-ish, no spaces)
-    token_re = re.compile(r"^[\w.@+-]{1,64}$")
-    return all(part and token_re.match(part) for part in parts)
+    # every part must look like an atomic token (identifier-ish, no spaces);
+    # splitting on a delimiter the value contains yields at least two parts
+    parts = map(str.strip, value.split(delimiter))
+    return all(part and _LIST_TOKEN_RE.match(part) for part in parts)
 
 
 def looks_like_file_path(value: str) -> bool:
     """True when a value looks like a filesystem path or media file reference."""
     value = value.strip()
-    if not value or len(value) > 300:
+    # Both path shapes and the media-URL suffix end in ".<extension>".
+    if not value or len(value) > 300 or "." not in value:
         return False
     if _URL_RE.match(value):
-        return bool(re.search(r"\.(jpg|jpeg|png|gif|pdf|mp3|mp4|zip)$", value, re.IGNORECASE))
+        return bool(_MEDIA_SUFFIX_RE.search(value))
     return bool(_PATH_RE.match(value))
 
 

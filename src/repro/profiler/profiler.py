@@ -60,9 +60,11 @@ class DataProfiler:
             sampled_rows=len(sampled),
             definition=definition,
         )
-        columns = self._column_names(sampled, definition)
-        for column in columns:
-            values = [self._value(row, column) for row in sampled]
+        for column in self._column_names(sampled, definition):
+            values = [
+                row[column] if column in row else self._value(row, column)
+                for row in sampled
+            ]
             profile.columns[column.lower()] = profile_column(column, values, table=table_name)
         return profile
 

@@ -111,24 +111,7 @@ class DurationCostModel(WorkloadCostModel):
         frequencies: "Mapping[int, int]",
         durations: "Mapping[int, float]",
     ) -> "dict[int, float]":
-        reference = self.reference_duration(durations)
-        weights: "dict[int, float]" = {}
-        for index in frequencies.keys() | durations.keys():
-            frequency = max(1, frequencies.get(index, 1))
-            mean_duration = durations.get(index)
-            if reference is None or mean_duration is None or mean_duration <= 0:
-                # No duration evidence for this statement (or the whole
-                # workload): fall back to the frequency weight so partially
-                # timed logs degrade gracefully instead of zeroing out.
-                weights[index] = frequency_weight(frequency)
-                continue
-            relative = mean_duration / reference
-            equivalent_executions = frequency * relative
-            if equivalent_executions <= 1.0:
-                weights[index] = 1.0
-            else:
-                weights[index] = 1.0 + math.log2(equivalent_executions)
-        return weights
+        return _duration_weights(frequencies, durations, 1.0)
 
 
 @dataclass(frozen=True)
@@ -151,22 +134,56 @@ class HybridCostModel(WorkloadCostModel):
         frequencies: "Mapping[int, int]",
         durations: "Mapping[int, float]",
     ) -> "dict[int, float]":
-        share = self.duration_share
-        if share == 0.0:
+        if self.duration_share == 0.0:
             return FrequencyCostModel().weights(frequencies, durations)
-        by_duration = DurationCostModel().weights(frequencies, durations)
-        if share == 1.0:
-            return by_duration
-        # One pass over the duration map's keys (already the union of both
-        # fact maps); unmapped statements default to 1.0 downstream anyway.
-        return {
-            index: (1.0 - share) * frequency_weight(frequencies.get(index))
-            + share * weight
-            for index, weight in by_duration.items()
-        }
+        return _duration_weights(frequencies, durations, self.duration_share)
 
     def describe(self) -> dict:
         return {"name": self.name, "duration_share": self.duration_share}
+
+
+def _duration_weights(
+    frequencies: "Mapping[int, int]",
+    durations: "Mapping[int, float]",
+    duration_share: float,
+) -> "dict[int, float]":
+    """The duration model's weight per statement, blended as
+    ``(1 - s) · frequency_weight(f) + s · duration weight`` when the
+    duration share ``s`` is below 1.
+
+    One pass over the union of both fact maps serves both models, so the
+    hybrid model builds one dict, not a duration dict and then a blend.
+    """
+    reference = DurationCostModel.reference_duration(durations)
+    frequency_share = 1.0 - duration_share
+    get_count, get_duration, log2 = frequencies.get, durations.get, math.log2
+    weights: "dict[int, float]" = {}
+    for index in frequencies.keys() | durations.keys():
+        count = get_count(index, 1)
+        if count > 1:
+            frequency = count
+            by_frequency = fallback = 1.0 + log2(float(count))
+        else:
+            # max(1, count) is 1 and weighs 1.0; frequency_weight(count) is
+            # 1.0 too unless the count is NaN.
+            frequency, by_frequency, fallback = 1, frequency_weight(count), 1.0
+        mean_duration = get_duration(index)
+        if reference is None or mean_duration is None or mean_duration <= 0:
+            # No duration evidence for this statement (or the whole
+            # workload): fall back to the frequency weight so partially
+            # timed logs degrade gracefully instead of zeroing out.
+            by_duration = fallback
+        else:
+            equivalent_executions = frequency * (mean_duration / reference)
+            if equivalent_executions <= 1.0:
+                by_duration = 1.0
+            else:
+                by_duration = 1.0 + log2(equivalent_executions)
+        if duration_share == 1.0:
+            weights[index] = by_duration
+        else:
+            weights[index] = frequency_share * by_frequency + duration_share * by_duration
+    return weights
 
 
 #: Model factories by ``--cost-model`` name (one source of truth for the

@@ -229,12 +229,149 @@ class TestSamplingPushDown:
         )
         assert schema_aps(full) == schema_aps(sampled)
 
-    def test_scan_sample_limit_caps_data_rule_row_fetches(self, sqlite_path):
+    def test_scan_sample_limit_caps_data_rule_row_fetches(self, sqlite_path, monkeypatch):
         """The cap must hold for every fetch in the scan: rows pulled later
         by data rules through get_table() stay sampled too."""
+        from repro.core.sqlcheck import SQLCheck
         from repro.ingest import LiveScanner, SQLiteConnector
 
+        # Read the table the way a data rule does, while the rules run.
+        seen: "list[int]" = []
+        original = SQLCheck.check_context
+
+        def check_context(self, context, **kwargs):
+            seen.append(context.database.get_table("tenant").row_count)
+            return original(self, context, **kwargs)
+
+        monkeypatch.setattr(SQLCheck, "check_context", check_context)
         with SQLiteConnector(sqlite_path) as connector:
             LiveScanner().scan(connector, ["SELECT * FROM tenant"], sample_limit=4)
-            assert connector.sample_limit == 4
-            assert connector.get_table("tenant").row_count <= 4
+        assert seen == [4]
+
+    @pytest.mark.parametrize(
+        "ddl",
+        [
+            "CREATE TABLE w (k INTEGER PRIMARY KEY, v TEXT) WITHOUT ROWID",
+            "CREATE TABLE w (rowid TEXT, oid TEXT, k INTEGER, v TEXT)",
+        ],
+        ids=["without-rowid", "shadowed-rowid"],
+    )
+    def test_sqlite_sample_without_a_usable_rowid(self, tmp_path, ddl):
+        path = tmp_path / "w.db"
+        connection = sqlite3.connect(str(path))
+        connection.execute(ddl)
+        connection.executemany(
+            "INSERT INTO w (k, v) VALUES (?, ?)", [(i, f"v{i}") for i in range(30)]
+        )
+        connection.commit()
+        connection.close()
+        with SQLiteConnector(path) as first, SQLiteConnector(path) as second:
+            sample = first.table_rows("w", limit=5)
+            assert len(sample) == 5
+            assert len({row["k"] for row in sample}) == 5
+            assert sample == second.table_rows("w", limit=5)
+            assert [row["k"] for row in sample] == sorted(row["k"] for row in sample)
+
+
+def _spy_all_rows(monkeypatch, connected_table) -> "dict[str, list[list]]":
+    """Record every row list ``ConnectedTable.all_rows`` serves, by table."""
+    served: "dict[str, list[list]]" = {}
+    original = connected_table.all_rows
+
+    def all_rows(self):
+        rows = original(self)
+        served.setdefault(self.name.lower(), []).append(rows)
+        return rows
+
+    monkeypatch.setattr(connected_table, "all_rows", all_rows)
+    return served
+
+
+@pytest.fixture
+def large_sqlite_path(tmp_path):
+    """2,000 rows, with columns whose data-rule verdicts and messages move
+    with the sampled rows: half the tags are id lists, ~60% of orgs share
+    one long value."""
+    import random
+
+    rng = random.Random(3)
+    path = tmp_path / "large.db"
+    connection = sqlite3.connect(str(path))
+    connection.execute(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, name VARCHAR(40), tags TEXT, "
+        "org VARCHAR(60), price FLOAT)"
+    )
+    orgs = ("Globex Inc", "Initech LLC", "Umbrella plc")
+    connection.executemany(
+        "INSERT INTO t VALUES (?, ?, ?, ?, ?)",
+        [
+            (
+                i,
+                f"n{i}",
+                ",".join(f"T{rng.randrange(50)}" for _ in range(rng.randrange(1, 4)))
+                if i % 2 else f"tag {i}",
+                "Acme Corporation Ltd" if rng.random() < 0.6 else rng.choice(orgs),
+                rng.random() * 100,
+            )
+            for i in range(2000)
+        ],
+    )
+    connection.commit()
+    connection.close()
+    return path
+
+
+class TestSampledScanReproducibility:
+    """A capped scan draws one seeded sample per table, shares it between
+    the profiler and the data rules, and leaves no cap behind."""
+
+    WORKLOAD = ["SELECT * FROM t", "SELECT name FROM t WHERE tags LIKE '%T1%'"]
+
+    def _sarif(self, target, sample_limit=None) -> str:
+        from repro import LiveScanner, render_report
+
+        scanner = LiveScanner()
+        report = scanner.scan(target, self.WORKLOAD, sample_limit=sample_limit)
+        return render_report(report, "sarif", registry=scanner.toolchain.registry)
+
+    def test_two_sampled_scans_give_identical_sarif(self, large_sqlite_path):
+        with SQLiteConnector(large_sqlite_path) as first:
+            one = self._sarif(first, sample_limit=50)
+        with SQLiteConnector(large_sqlite_path) as second:
+            two = self._sarif(second, sample_limit=50)
+        assert one == two
+        assert '"denormalized_table"' in one
+
+    def test_profiled_rows_are_the_rows_the_data_rules_see(
+        self, large_sqlite_path, monkeypatch
+    ):
+        from repro.ingest.connectors import ConnectedTable
+        from repro.profiler import DataProfiler
+
+        profiled: "dict[str, list]" = {}
+        original = DataProfiler.profile_rows
+
+        def profile_rows(self, table_name, rows, definition=None):
+            profiled[table_name.lower()] = list(rows)
+            return original(self, table_name, rows, definition=definition)
+
+        monkeypatch.setattr(DataProfiler, "profile_rows", profile_rows)
+        served = _spy_all_rows(monkeypatch, ConnectedTable)
+        with SQLiteConnector(large_sqlite_path) as connector:
+            self._sarif(connector, sample_limit=50)
+        assert len(profiled["t"]) == 50
+        # the profiler's read plus at least one data rule's
+        assert len(served["t"]) >= 2
+        assert all(rows == profiled["t"] for rows in served["t"])
+
+    def test_unsampled_scan_after_a_sampled_one_sees_every_row(
+        self, large_sqlite_path, monkeypatch
+    ):
+        from repro.ingest.connectors import ConnectedTable
+
+        with SQLiteConnector(large_sqlite_path) as connector:
+            self._sarif(connector, sample_limit=50)
+            assert connector.sample_limit is None
+            served = _spy_all_rows(monkeypatch, ConnectedTable)
+            self._sarif(connector)
+        assert served["t"] and all(len(rows) == 2000 for rows in served["t"])

@@ -90,6 +90,17 @@ class TestHybridModel:
             DurationCostModel().weights(frequencies, durations)
         )
 
+    def test_weights_blend_the_frequency_and_duration_weights(self):
+        frequencies = {0: 8, 1: 2, 2: 1, 3: 0, 5: 40}
+        durations = {0: 90.0, 1: 10.0, 2: 0.0, 4: 250.0, 5: 3.5}
+        by_duration = DurationCostModel().weights(frequencies, durations)
+        for share in (0.25, 0.5, 0.8):
+            assert HybridCostModel(share).weights(frequencies, durations) == {
+                index: (1.0 - share) * frequency_weight(frequencies.get(index))
+                + share * weight
+                for index, weight in by_duration.items()
+            }
+
     def test_describe_carries_the_share(self):
         assert HybridCostModel(0.25).describe() == {
             "name": "hybrid",
