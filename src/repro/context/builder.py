@@ -14,11 +14,10 @@ from typing import Any, Iterable, Sequence
 from ..catalog.ddl_builder import DDLBuilder
 from ..catalog.schema import Schema
 from ..errors import CODE_PARSE_ERROR, CODE_PROFILE_ERROR, PipelineError
-from ..obs import get_tracer, now
+from ..obs import get_metrics, get_tracer, now
 from ..profiler.profiler import DataProfiler
 from ..profiler.sampler import Sampler
 from ..sqlparser import AnnotationCache, ParsedStatement, QueryAnnotation, annotate, parse
-from ..sqlparser.fingerprint import combine_fingerprints
 from ..sqlparser.dialects import Dialect, get_dialect
 from .application_context import ApplicationContext
 
@@ -31,11 +30,12 @@ class ContextBuilder:
     """Builds and (incrementally) refreshes application contexts.
 
     When an :class:`AnnotationCache` is attached, string inputs are looked up
-    by fingerprint (with exact-text verification) before parsing: corpus
-    workloads are dominated by repeated statement templates, and a cache hit
+    by exact text (under the dialect's name) before parsing: corpus
+    workloads are dominated by repeated statements, and a cache hit
     replays the stored parse + annotation through cheap shallow copies whose
     index and source are rebound to the current occurrence — so cached
-    output is identical to the cold path.
+    output is identical to the cold path.  ``build`` adds the run's cache
+    hits and misses to the ``stats`` it is given.
     """
 
     def __init__(
@@ -79,6 +79,8 @@ class ContextBuilder:
         """
         errors: "list[PipelineError] | None" = [] if quarantine else None
         tracer = get_tracer()
+        cache = self.annotation_cache
+        hits0, misses0 = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
         t0 = now()
         annotations = self._annotate_queries(queries, source, errors=errors)
         t1 = now()
@@ -88,6 +90,9 @@ class ContextBuilder:
             # One shared boundary timestamp between the stages keeps
             # parse + context equal to the elapsed wall-clock exactly.
             stats.parse_seconds += t1 - t0
+            if cache is not None:
+                stats.annotation_cache_hits += cache.stats.hits - hits0
+                stats.annotation_cache_misses += cache.stats.misses - misses0
         schema = self._build_schema(annotations, database)
         if database is not None:
             if errors is None:
@@ -233,6 +238,8 @@ class ContextBuilder:
                         )
                         continue
             annotations.append(annotation)
+        if self.annotation_cache is not None:
+            get_metrics().annotation_cache_entries.set(len(self.annotation_cache))
         return annotations
 
     def _parse_text(
@@ -242,7 +249,10 @@ class ContextBuilder:
         cache = self.annotation_cache
         if cache is None:
             return [(statement, annotate(statement)) for statement in parse(text, source=source)]
-        templates = cache.get(text)
+        templates = cache.get(text, scope=self.dialect.name)
+        get_metrics().annotation_cache_lookups.inc_single(
+            "miss" if templates is None else "hit"
+        )
         if templates is None:
             statements = parse(text, source=source)
             templates = [(statement, annotate(statement)) for statement in statements]
@@ -252,13 +262,7 @@ class ContextBuilder:
             # list-of-statements inputs (the batch paths).
             if len(statements) > _MAX_CACHED_SCRIPT_STATEMENTS:
                 return templates
-            # Derive the text's fingerprint from the already-tokenized
-            # statements — a miss must not pay a second lexer pass.
-            if len(statements) == 1:
-                fp = statements[0].fingerprint
-            else:
-                fp = combine_fingerprints(s.fingerprint for s in statements)
-            cache.put(text, templates, fp=fp)
+            cache.put(text, templates, scope=self.dialect.name)
             # Fall through to the rebind loop: callers mutate the returned
             # statements (index rebinding, position clearing), and cached
             # templates must stay pristine for future occurrences.

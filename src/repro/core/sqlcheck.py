@@ -296,9 +296,6 @@ class SQLCheck:
     ) -> SQLCheckReport:
         """Run the full pipeline over queries and an optional database."""
         stats = PipelineStats()
-        cache = self.detector.annotation_cache
-        hits0 = cache.stats.hits if cache is not None else 0
-        misses0 = cache.stats.misses if cache is not None else 0
         with get_tracer().span("check", source=source):
             start = now()
             context = self._builder.build(
@@ -308,9 +305,6 @@ class SQLCheck:
                 stats=stats,
                 quarantine=self.options.detector.quarantine,
             )
-            if cache is not None:
-                stats.annotation_cache_hits = cache.stats.hits - hits0
-                stats.annotation_cache_misses = cache.stats.misses - misses0
             report = self.check_context(context, stats=stats)
             stats.total_seconds = now() - start
         observe_stage_seconds(stats)

@@ -6,17 +6,17 @@ database, applies the registered query rules to every statement
 rules to every profiled table, filters out low-confidence findings, and
 returns a :class:`DetectionReport`.
 
-Corpus-scale additions: statement-level results are memoized per
-``(fingerprint, registry version, thresholds, workload signature)`` so the
-literal-only duplication that dominates real corpora is detected once and
-replayed cheaply, and :meth:`detect_batch` runs the parse stage over a
-process pool and reports per-stage timings in a :class:`PipelineStats`.
+Corpus-scale additions: statement-level results are memoized by exact
+statement text under a memo scope (registry content digest, thresholds,
+analysis flags, dialect and, with inter-query analysis on, the workload),
+so repeated statements are detected once and replayed cheaply, and
+:meth:`detect_batch` runs the parse stage over a process pool and reports
+per-stage timings in a :class:`PipelineStats`.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
@@ -70,7 +70,7 @@ class DetectorConfig:
         dialect: SQL dialect hint (``postgresql``, ``mysql``, ``sqlite``).
         sample_size: rows sampled per table by the data profiler.
         enable_cache: annotation cache + detection memo on/off.
-        cache_size: LRU capacity (entries) of both caches.
+        cache_size: LRU capacity (entries) of each cache.
         workers: default process fan-out of the batch APIs.
         quarantine: isolate per-statement parse failures and per-rule
             check failures as structured :class:`~repro.errors.PipelineError`
@@ -117,12 +117,14 @@ class APDetector:
     (yield detections as statements are analysed), and
     :meth:`detect_in_context` for a pre-built application context.
 
-    Caching: an :class:`~repro.sqlparser.AnnotationCache` keyed by
-    statement fingerprint skips re-parsing duplicates, and a detection
-    memo keyed by ``(fingerprint, registry version, thresholds, workload
-    signature)`` replays rule results with statement index/offset/source
-    rebound to each occurrence.  Observability: :attr:`memo_info`,
-    ``annotation_cache.stats``, :meth:`clear_caches`.
+    Caching: one LRU class, :class:`~repro.sqlparser.AnnotationCache`,
+    backs two caches keyed by exact statement text.  The parse cache
+    (``(dialect, text)`` keys) skips re-parsing repeats; the detection memo
+    (``(memo scope, text)`` keys, see :meth:`_memo_scope`) replays rule
+    results with statement index/offset/source rebound to each occurrence.
+    With ``persistent_memo_path`` set, both read and write through to the
+    same :class:`~repro.detector.persist.PersistentMemo`.  Observability:
+    :attr:`memo_info`, ``annotation_cache.stats``, :meth:`clear_caches`.
     """
 
     def __init__(
@@ -135,18 +137,13 @@ class APDetector:
         self.config = config or DetectorConfig()
         self.registry = registry or default_registry()
         self.persistent = self._open_persistent()
+        size = self.config.cache_size
         if annotation_cache is not None:
             self.annotation_cache: AnnotationCache | None = annotation_cache
-        elif self.config.enable_cache and self.persistent is not None:
-            from .persist import PersistentAnnotationCache
-
-            self.annotation_cache = PersistentAnnotationCache(
-                maxsize=self.config.cache_size,
-                store=self.persistent,
-                dialect_key=self._dialect_key(),
-            )
         elif self.config.enable_cache:
-            self.annotation_cache = AnnotationCache(maxsize=self.config.cache_size)
+            self.annotation_cache = AnnotationCache(
+                size, store=self.persistent, layer="annotations"
+            )
         else:
             self.annotation_cache = None
         self._builder = ContextBuilder(
@@ -154,10 +151,9 @@ class APDetector:
             dialect=self.config.dialect,
             annotation_cache=self.annotation_cache,
         )
-        # (workload signature, statement fingerprint, raw) -> detection templates
-        self._memo: "OrderedDict[tuple, list[Detection]]" = OrderedDict()
-        self._memo_hits = 0
-        self._memo_misses = 0
+        # Detection templates by statement text under the memo scope; unused
+        # when the scope is None (caching off, or a context with live data).
+        self.memo = AnnotationCache(size, store=self.persistent, layer="memo")
         # statement type -> candidate rule count, for the prefilter metrics
         # (telemetry only — avoids a second registry dispatch per statement;
         # a registry mutated mid-run refreshes on the next detector).
@@ -173,10 +169,6 @@ class APDetector:
             self.config.persistent_memo_path,
             registry_digest=self.registry.content_digest,
         )
-
-    def _dialect_key(self) -> str:
-        """Stable dialect label for cross-process annotation-cache keys."""
-        return str(getattr(self.config.dialect, "name", self.config.dialect))
 
     def close(self) -> None:
         """Flush and release the persistent store (no-op without one)."""
@@ -246,7 +238,6 @@ class APDetector:
         cache = self.annotation_cache
         cache_hits0 = cache.stats.hits if cache is not None else 0
         cache_miss0 = cache.stats.misses if cache is not None else 0
-        metrics = get_metrics()
         tracer = get_tracer()
 
         # Whole-corpus replay: when a prior clean run of this exact input
@@ -256,7 +247,7 @@ class APDetector:
         # comparable to the in-memory warm path.
         corpus_key = self._corpus_key(queries, source)
         if corpus_key is not None:
-            replayed = self._replay_corpus(corpus_key, stats, metrics, tracer)
+            replayed = self._replay_corpus(corpus_key, stats, tracer)
             if replayed is not None:
                 return replayed, stats
 
@@ -332,19 +323,9 @@ class APDetector:
             )
             self.persistent.flush()
         if cache is not None:
-            delta_hits = cache.stats.hits - cache_hits0
-            delta_misses = cache.stats.misses - cache_miss0
-            stats.annotation_cache_hits += delta_hits
-            stats.annotation_cache_misses += delta_misses
-            if metrics.enabled:
-                if delta_hits:
-                    metrics.annotation_cache_lookups.inc(delta_hits, result="hit")
-                if delta_misses:
-                    metrics.annotation_cache_lookups.inc(delta_misses, result="miss")
-                metrics.annotation_cache_entries.set(len(cache))
-        if metrics.enabled:
-            metrics.memo_entries.set(len(self._memo))
-            observe_stage_seconds(stats)
+            stats.annotation_cache_hits += cache.stats.hits - cache_hits0
+            stats.annotation_cache_misses += cache.stats.misses - cache_miss0
+        observe_stage_seconds(stats)
         return report, stats
 
     def stream(
@@ -383,14 +364,14 @@ class APDetector:
         """Yield kept detections statement by statement, then table by table.
 
         Query-analysis results are replayed from the memo when the same
-        statement was already analysed under an identical workload signature,
-        registry version, and thresholds.  With an error sink attached
+        statement text was already analysed under an identical memo scope
+        (see :meth:`_memo_scope`).  With an error sink attached
         (quarantine mode), a rule that raises is recorded there and skipped;
         remaining rules, statements, and tables still run.
         """
         # A rule that mutated its statement_types in place would be served
-        # stale from the dispatch index (and from the memo keyed on the
-        # registry version) — fail loudly once per run instead.
+        # stale from the dispatch index (and from the memo, whose scope
+        # digests the registry content) — fail loudly once per run instead.
         self.registry.check_integrity()
         rule_context = RuleContext(
             application=context,
@@ -451,8 +432,11 @@ class APDetector:
                     for detection in found:
                         if detection.confidence >= threshold:
                             yield detection
-        # One buffered write per detection pass (an abandoned stream() flushes
-        # on the next pass or at close()).
+        # One occupancy reading and one buffered write per detection pass
+        # (an abandoned stream() flushes on the next pass or at close()).
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.memo_entries.set(len(self.memo))
         if self.persistent is not None:
             self.persistent.flush()
 
@@ -460,37 +444,23 @@ class APDetector:
         self,
         annotation: QueryAnnotation,
         rule_context: RuleContext,
-        memo_scope: "bytes | None",
+        memo_scope: "str | None",
         stats: PipelineStats | None,
         errors: "list[PipelineError] | None" = None,
     ) -> list[Detection]:
         statement = annotation.statement
         metrics = get_metrics()
-        key = None
-        if memo_scope is not None and statement is not None:
-            key = (memo_scope, statement.fingerprint, annotation.raw)
-            cached = self._memo.get(key)
-            if cached is None and self.persistent is not None:
-                # Read-through: a prior process analysed this statement
-                # under the same scope.  Install the stored templates into
-                # the in-memory memo and replay through the same path, so
-                # persistent hits are byte-identical by construction.
-                cached = self.persistent.get_detections(
-                    memo_scope, statement.fingerprint, annotation.raw
-                )
-                if cached is not None:
-                    self._memo[key] = cached
-                    while len(self._memo) > self.config.cache_size:
-                        self._memo.popitem(last=False)
+        memoize = memo_scope is not None and statement is not None
+        if memoize:
+            # A hit from either tier replays through the same path, so
+            # stored results are byte-identical by construction.
+            cached = self.memo.get(annotation.raw, scope=memo_scope)
             if cached is not None:
-                self._memo.move_to_end(key)
-                self._memo_hits += 1
                 if stats is not None:
                     stats.memo_hits += 1
                 if metrics.enabled:
                     metrics.memo_lookups.inc_single("hit")
                 return [self._replay(d, annotation) for d in cached]
-            self._memo_misses += 1
             if stats is not None:
                 stats.memo_misses += 1
             if metrics.enabled:
@@ -543,22 +513,16 @@ class APDetector:
                         statement_offset=statement.offset if statement is not None else None,
                     )
                 )
-        if key is not None and not quarantined:
+        if memoize and not quarantined:
             # Store pristine copies: report detections are mutated downstream
             # (ap-rank fills in scores) and must not pollute the memo.  A
             # statement with a quarantined rule failure is never memoized —
             # a replay could not reproduce its error record.
-            templates = [
-                dataclasses.replace(d, metadata=dict(d.metadata)) for d in detections
-            ]
-            self._memo[key] = templates
-            while len(self._memo) > self.config.cache_size:
-                self._memo.popitem(last=False)
-            if self.persistent is not None:
-                # Write-through (buffered until the end-of-run flush).
-                self.persistent.put_detections(
-                    memo_scope, statement.fingerprint, annotation.raw, templates
-                )
+            self.memo.put(
+                annotation.raw,
+                [dataclasses.replace(d, metadata=dict(d.metadata)) for d in detections],
+                scope=memo_scope,
+            )
         return detections
 
     @staticmethod
@@ -602,7 +566,7 @@ class APDetector:
         digest.update(
             f"{cfg.enable_inter_query}|{cfg.enable_data}|{cfg.fused}|"
             f"{cfg.confidence_threshold!r}|{cfg.deduplicate}|{cfg.quarantine}|"
-            f"{self._dialect_key()}|{source!r}".encode("utf-8", "replace")
+            f"{self._builder.dialect.name}|{source!r}".encode("utf-8", "replace")
         )
         for text in queries:
             if not isinstance(text, str):
@@ -612,7 +576,7 @@ class APDetector:
         return digest.hexdigest()
 
     def _replay_corpus(
-        self, corpus_key: str, stats: PipelineStats, metrics, tracer
+        self, corpus_key: str, stats: PipelineStats, tracer
     ) -> "DetectionReport | None":
         """Serve a whole ``detect_batch`` run from the store, or ``None``."""
         with tracer.span("detect_batch:persistent-replay"):
@@ -641,15 +605,13 @@ class APDetector:
         # oracle) holds on this path too.
         stats.detect_seconds = end - start
         stats.total_seconds = end - start
-        if metrics.enabled:
-            metrics.memo_entries.set(len(self._memo))
-            observe_stage_seconds(stats)
+        observe_stage_seconds(stats)
         return report
 
     # ------------------------------------------------------------------
     # memo scoping
     # ------------------------------------------------------------------
-    def _memo_scope(self, context: ApplicationContext) -> "bytes | None":
+    def _memo_scope(self, context: ApplicationContext) -> "str | None":
         """Signature under which per-statement results are reusable.
 
         Statement-level results depend on the rule set, the thresholds, the
@@ -663,10 +625,9 @@ class APDetector:
         if context.database is not None or context.profiles:
             return None
         digest = hashlib.blake2b(digest_size=16)
-        # The registry's *content* digest (not the instance-unique
-        # cache_token): mutations still re-scope the memo, and the same
-        # digest re-derives in a restarted process, which is what lets the
-        # persistent store share entries across runs.
+        # The registry's *content* digest: mutations re-scope the memo, and
+        # the same digest re-derives in a restarted process, which is what
+        # lets the persistent store share entries across runs.
         digest.update(self.registry.content_digest)
         digest.update(repr(dataclasses.astuple(self.config.thresholds)).encode())
         digest.update(
@@ -683,23 +644,23 @@ class APDetector:
             for annotation in context.queries:
                 digest.update(annotation.raw.encode("utf-8", "replace"))
                 digest.update(b"\x00")
-        return digest.digest()
+        return digest.hexdigest()
 
     # ------------------------------------------------------------------
     # cache maintenance
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
         """Drop the detection memo and the annotation cache."""
-        self._memo.clear()
+        self.memo.clear()
         if self.annotation_cache is not None:
             self.annotation_cache.clear()
 
     @property
     def memo_info(self) -> dict:
         info = {
-            "entries": len(self._memo),
-            "hits": self._memo_hits,
-            "misses": self._memo_misses,
+            "entries": len(self.memo),
+            "hits": self.memo.stats.hits,
+            "misses": self.memo.stats.misses,
         }
         if self.persistent is not None:
             info["persistent"] = self.persistent.info()

@@ -9,12 +9,13 @@ SQLite file so a *restarted* process resumes warm, and concurrent
 
 Three tables mirror the three cache layers:
 
-* ``memo`` — ``(scope, fingerprint, raw) -> pickled detection templates``,
-  the exact key of ``APDetector._memo``, so a persistent hit installs into
-  the in-memory memo and replays through the same code path (byte-identical
-  by construction);
-* ``annotations`` — ``(dialect, raw) -> pickled parse templates``, the
-  read-through layer under :class:`PersistentAnnotationCache`;
+* ``memo`` — ``(scope, raw) -> pickled detection templates``, the store
+  tier under the detector's memo (an
+  :class:`~repro.sqlparser.AnnotationCache` keyed by ``(memo scope, raw)``),
+  so a stored hit is promoted into memory and replays through the same code
+  path (byte-identical by construction);
+* ``annotations`` — ``(scope, raw) -> pickled parse templates``, the store
+  tier under the parse cache, scoped by dialect;
 * ``corpus`` — a whole-run replay: the digest of an entire ``detect_batch``
   input (ordered exact texts + configuration scope) maps to the final
   deduplicated detections, so re-analysing an unchanged corpus skips the
@@ -42,11 +43,10 @@ import sqlite3
 import threading
 
 from ..obs import get_metrics
-from ..sqlparser.fingerprint import AnnotationCache
 
 #: Schema/payload format of the store; bump on any incompatible change so
 #: old files invalidate cleanly instead of unpickling garbage.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Row ceiling per cache table; the flush trims oldest-first beyond it.
 MAX_ROWS = 65536
@@ -54,14 +54,17 @@ MAX_ROWS = 65536
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS memo (
-    scope TEXT NOT NULL, fingerprint TEXT NOT NULL, raw TEXT NOT NULL,
-    payload BLOB NOT NULL, PRIMARY KEY (scope, fingerprint, raw));
+    scope TEXT NOT NULL, raw TEXT NOT NULL, payload BLOB NOT NULL,
+    PRIMARY KEY (scope, raw));
 CREATE TABLE IF NOT EXISTS annotations (
-    dialect TEXT NOT NULL, raw TEXT NOT NULL, fingerprint TEXT NOT NULL,
-    payload BLOB NOT NULL, PRIMARY KEY (dialect, raw));
+    scope TEXT NOT NULL, raw TEXT NOT NULL, payload BLOB NOT NULL,
+    PRIMARY KEY (scope, raw));
 CREATE TABLE IF NOT EXISTS corpus (
     key TEXT PRIMARY KEY, payload BLOB NOT NULL);
 """
+
+#: The data tables: the two per-statement layers and the corpus replays.
+_TABLES = ("memo", "annotations", "corpus")
 
 #: Invalidation reasons surfaced through metrics and :meth:`info`.
 REASON_FORMAT = "format-version"
@@ -118,8 +121,14 @@ class PersistentMemo:
             if stale is not None or not meta:
                 if stale is not None:
                     self._invalidate(stale)
-                for table in ("memo", "annotations", "corpus", "meta"):
-                    conn.execute(f"DELETE FROM {table}")
+                # Drop rather than empty, in one transaction: an older
+                # format's tables may have other columns.
+                conn.executescript(
+                    "BEGIN IMMEDIATE;"
+                    + "".join(f"DROP TABLE IF EXISTS {t};" for t in (*_TABLES, "meta"))
+                    + _SCHEMA
+                    + "COMMIT;"
+                )
                 conn.executemany(
                     "INSERT INTO meta (key, value) VALUES (?, ?)",
                     [
@@ -228,47 +237,17 @@ class PersistentMemo:
     # ------------------------------------------------------------------
     # the three cache layers
     # ------------------------------------------------------------------
-    def get_detections(self, scope: bytes, fp: str, raw: str) -> "list | None":
+    def get(self, layer: str, key: "tuple[str, str]") -> "object | None":
+        """The value stored under a ``(scope, raw)`` key of a per-statement
+        layer (``memo`` or ``annotations``), or None."""
         return self._fetch(
-            "memo",
-            "SELECT payload FROM memo WHERE scope=? AND fingerprint=? AND raw=?",
-            (scope.hex(), fp, raw),
+            layer, f"SELECT payload FROM {layer} WHERE scope=? AND raw=?", key
         )
 
-    def put_detections(self, scope: bytes, fp: str, raw: str, detections: list) -> None:
-        payload = _dumps(detections)
+    def put(self, layer: str, key: "tuple[str, str]", value) -> None:
+        payload = _dumps(value)
         if payload is not None:
-            self._buffer("memo", (scope.hex(), fp, raw, payload))
-
-    def get_annotations(self, dialect: str, raw: str) -> "tuple[str, object] | None":
-        """Return ``(fingerprint, templates)`` for a cached parse, or None."""
-        with self._lock:
-            if self._conn is None:
-                return None
-            try:
-                row = self._conn.execute(
-                    "SELECT fingerprint, payload FROM annotations "
-                    "WHERE dialect=? AND raw=?",
-                    (dialect, raw),
-                ).fetchone()
-            except (sqlite3.Error, OSError):
-                self._io_failure()
-                return None
-            if row is None:
-                self._count("annotations", hit=False)
-                return None
-            value = _loads(row[1])
-            if value is None:
-                self._invalidate(REASON_CORRUPT_ENTRY)
-                self._count("annotations", hit=False)
-                return None
-            self._count("annotations", hit=True)
-            return row[0], value
-
-    def put_annotations(self, dialect: str, raw: str, fp: str, templates) -> None:
-        payload = _dumps(templates)
-        if payload is not None:
-            self._buffer("annotations", (dialect, raw, fp, payload))
+            self._buffer(layer, (*key, payload))
 
     def get_corpus(self, key: str) -> "dict | None":
         value = self._fetch(
@@ -285,10 +264,9 @@ class PersistentMemo:
     # flush / maintenance
     # ------------------------------------------------------------------
     _INSERTS = {
-        "memo": "INSERT OR REPLACE INTO memo "
-        "(scope, fingerprint, raw, payload) VALUES (?, ?, ?, ?)",
+        "memo": "INSERT OR REPLACE INTO memo (scope, raw, payload) VALUES (?, ?, ?)",
         "annotations": "INSERT OR REPLACE INTO annotations "
-        "(dialect, raw, fingerprint, payload) VALUES (?, ?, ?, ?)",
+        "(scope, raw, payload) VALUES (?, ?, ?)",
         "corpus": "INSERT OR REPLACE INTO corpus (key, payload) VALUES (?, ?)",
     }
 
@@ -303,7 +281,7 @@ class PersistentMemo:
                 with self._conn:
                     for table, row in pending:
                         self._conn.execute(self._INSERTS[table], row)
-                    for table in ("memo", "annotations", "corpus"):
+                    for table in _TABLES:
                         self._conn.execute(
                             f"DELETE FROM {table} WHERE rowid NOT IN "
                             f"(SELECT rowid FROM {table} ORDER BY rowid DESC LIMIT ?)",
@@ -322,7 +300,7 @@ class PersistentMemo:
         try:
             return sum(
                 self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-                for table in ("memo", "annotations", "corpus")
+                for table in _TABLES
             )
         except (sqlite3.Error, OSError):
             return 0
@@ -340,7 +318,7 @@ class PersistentMemo:
             }
             if self._conn is not None:
                 try:
-                    for table in ("memo", "annotations", "corpus"):
+                    for table in _TABLES:
                         payload[f"{table}_rows"] = self._conn.execute(
                             f"SELECT COUNT(*) FROM {table}"
                         ).fetchone()[0]
@@ -363,39 +341,3 @@ def _dumps(value) -> "bytes | None":
         return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:  # noqa: BLE001 - user rules can attach anything
         return None
-
-
-class PersistentAnnotationCache(AnnotationCache):
-    """An :class:`AnnotationCache` with the persistent store as its L2.
-
-    In-memory lookups behave exactly like the base class; a miss probes the
-    store, and a store hit is promoted into the in-memory cache (so later
-    occurrences hit L1) and re-counted as a hit — either way the caller
-    skipped a parse, which is what the hit/miss stats mean.  Every put
-    writes through (buffered until the store's next flush).
-    """
-
-    def __init__(self, maxsize: int, store: PersistentMemo, dialect_key: str):
-        super().__init__(maxsize=maxsize)
-        self._store = store
-        self._dialect_key = dialect_key
-
-    def get(self, raw: str, *, fp: "str | None" = None) -> "object | None":
-        value = super().get(raw, fp=fp)
-        if value is not None:
-            return value
-        row = self._store.get_annotations(self._dialect_key, raw)
-        if row is None:
-            return None
-        stored_fp, value = row
-        AnnotationCache.put(self, raw, value, fp=stored_fp)
-        # The L1 probe above already counted a miss, but the caller is
-        # getting templates and skipping the parse: reclassify as a hit.
-        self.stats.misses -= 1
-        self.stats.hits += 1
-        return value
-
-    def put(self, raw: str, value: object, *, fp: "str | None" = None) -> str:
-        fp = super().put(raw, value, fp=fp)
-        self._store.put_annotations(self._dialect_key, raw, fp, value)
-        return fp

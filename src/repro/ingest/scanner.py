@@ -154,9 +154,6 @@ class LiveScanner:
         toolchain = self.toolchain
         builder = toolchain._builder
         stats = PipelineStats()
-        cache = toolchain.detector.annotation_cache
-        hits0 = cache.stats.hits if cache is not None else 0
-        misses0 = cache.stats.misses if cache is not None else 0
         label = source or (log.source if log is not None else None) or (
             connector.name if connector is not None else None
         )
@@ -213,9 +210,6 @@ class LiveScanner:
                 stats.context_seconds += now() - t_live
             if log is not None:
                 assign_frequencies(context, log)
-            if cache is not None:
-                stats.annotation_cache_hits = cache.stats.hits - hits0
-                stats.annotation_cache_misses = cache.stats.misses - misses0
             report = toolchain.check_context(context, stats=stats)
             stats.total_seconds = now() - start
         observe_stage_seconds(stats)

@@ -128,23 +128,17 @@ class RuleRegistry:
     once per statement, so the O(rules) comprehension the seed used becomes
     a dict lookup.  The index is versioned — every mutation
     (``register`` / ``unregister`` / ``disable_anti_pattern``) bumps
-    :attr:`version` and invalidates it, which also invalidates any detection
-    memo keyed on the version.
+    :attr:`version` and invalidates it, and changes :attr:`content_digest`,
+    which re-scopes the detection memo.
     """
-
-    _uid_counter = itertools.count(1)
 
     def __init__(self, rules: Iterable[Rule] = ()):
         self._query_rules: list[QueryRule] = []
         self._data_rules: list[DataRule] = []
         self._version = 0
-        # Distinguishes registry *instances*: two registries can share a
-        # version counter value while holding different rules, so memo
-        # scopes must key on (uid, version), not version alone.
-        self._uid = next(RuleRegistry._uid_counter)
         self._dispatch: dict[str, tuple[QueryRule, ...]] = {}
         # Compiled trigger automatons by statement type; rebuilt lazily
-        # after every mutation, i.e. once per cache_token value.
+        # after every mutation, i.e. once per version.
         self._compiled: dict[str, TriggerAutomaton] = {}
         # statement_types snapshots taken at registration; serving dispatch
         # against a drifted rule raises instead of returning stale results.
@@ -222,22 +216,16 @@ class RuleRegistry:
         return self._version
 
     @property
-    def cache_token(self) -> "tuple[int, int]":
-        """Identity token for caches: unique per instance and per mutation."""
-        return (self._uid, self._version)
-
-    @property
     def content_digest(self) -> bytes:
         """Stable digest of the registered rule *content*, in registration
         order.
 
-        Unlike :attr:`cache_token` — which is instance-unique by design and
-        therefore never matches across processes — two registries built from
-        the same rule classes with the same declared metadata produce the
-        same digest in any process.  This is the identity the persistent
-        detection memo keys on: a rule added, removed, or re-declared
-        changes the digest and cleanly orphans every stored entry, while a
-        restart with the unchanged default registry keeps them warm.
+        Two registries built from the same rule classes with the same
+        declared metadata produce the same digest in any process.  This is
+        the identity the persistent detection memo keys on: a rule added,
+        removed, or re-declared changes the digest and cleanly orphans every
+        stored entry, while a restart with the unchanged default registry
+        keeps them warm.
         """
         if self._content_digest is None or self._content_digest_version != self._version:
             digest = hashlib.blake2b(digest_size=16)

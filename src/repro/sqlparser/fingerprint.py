@@ -1,31 +1,31 @@
-"""Statement fingerprinting and the annotation cache.
+"""Statement fingerprinting and the text-keyed result cache.
 
 Real query corpora (the paper's 174k-statement GitHub corpus, ORM-generated
-web-application workloads) are dominated by *literal-only duplication*: the
-same statement template executed over and over with different constants.
-This module canonicalizes a statement into a stable **fingerprint** — the
-same idea as ``pg_stat_statements``' queryid — so the toolchain can detect a
-template once and replay the result cheaply:
+web-application workloads) repeat the same statements over and over.  This
+module holds the two tools the toolchain uses for that:
 
 * :func:`canonicalize` — keywords upper-cased, literals replaced by ``?``,
   whitespace and comments collapsed;
-* :func:`fingerprint` — a short stable hash of the canonical form;
-* :class:`AnnotationCache` — an LRU cache from fingerprint to parsed
-  statement + annotation, used by the context builder to skip re-parsing.
+* :func:`fingerprint` — a short stable hash of the canonical form (the same
+  idea as ``pg_stat_statements``' queryid), exposed as
+  ``ParsedStatement.fingerprint`` and recorded as ``statement_fingerprint``
+  provenance on quarantined error records;
+* :class:`AnnotationCache` — one LRU class keyed by exact statement text,
+  with an optional persistent tier.  It backs both the context builder's
+  parse cache and the detector's per-statement detection memo.
 
-Correctness note: two statements may share a fingerprint while differing in
-rule-relevant literal content (``LIKE 'INV-2020%'`` is index-friendly,
-``LIKE '%offer%'`` is the Pattern Matching anti-pattern).  The fingerprint is
-therefore used as the *bucket* key, and every cache hit additionally verifies
-the exact raw text, so cached results are byte-identical to cold-path
-results by construction.
+The caches never key on the fingerprint: two statements may share one while
+differing in rule-relevant literal content (``LIKE 'INV-2020%'`` is
+index-friendly, ``LIKE '%offer%'`` is the Pattern Matching anti-pattern).
+Only an exact-text match replays a stored result, so cached output is
+byte-identical to the cold path by construction.
 """
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
 
 from .lexer import tokenize
 from .tokens import Token, TokenType
@@ -45,9 +45,6 @@ _CASEFOLD_TYPES = frozenset(
         TokenType.OPERATOR,
     }
 )
-
-#: Maximum number of exact-text variants kept per fingerprint bucket.
-_VARIANTS_PER_BUCKET = 8
 
 
 def canonicalize_tokens(tokens: Iterable[Token]) -> str:
@@ -79,16 +76,6 @@ def fingerprint(sql: "str | Iterable[Token]") -> str:
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def combine_fingerprints(fingerprints: Iterable[str]) -> str:
-    """Fingerprint of a multi-statement script from its statements'
-    fingerprints (avoids re-tokenizing the combined text)."""
-    digest = hashlib.blake2b(digest_size=8)
-    for fp in fingerprints:
-        digest.update(fp.encode("ascii"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
 @dataclass
 class CacheStats:
     """Hit/miss counters exposed through :class:`PipelineStats`."""
@@ -115,86 +102,69 @@ class CacheStats:
 
 
 @dataclass
-class _Entry:
-    """One exact-text variant stored under a fingerprint bucket."""
-
-    raw: str
-    value: object
-
-
-@dataclass
 class AnnotationCache:
-    """LRU cache: fingerprint -> parsed statement + annotation.
+    """LRU cache from exact statement text, under a scope, to a value.
 
-    The cache is value-agnostic (the context builder stores lists of
-    ``(ParsedStatement, QueryAnnotation)`` pairs) so it can also back other
-    per-statement memos.  Lookups verify the exact raw text inside the
-    fingerprint bucket, keeping hits byte-identical to the cold path.
+    Value-agnostic: the context builder stores parse templates scoped by
+    dialect and the detector stores detection templates scoped by its memo
+    scope.  ``maxsize`` bounds the resident entries, and evictions are
+    counted in :attr:`stats`.  ``None`` means "absent", so it cannot be
+    stored; an empty list can.
+
+    With a ``store`` attached (a :class:`~repro.detector.persist.PersistentMemo`)
+    the cache is the memory tier over the store's ``layer`` table.  A memory
+    miss reads through to the store; a value found there is promoted into
+    memory without being written back.  A value found in either tier counts
+    as one hit.  Every :meth:`put` writes through, buffered until the
+    store's next flush.
     """
 
     maxsize: int = 2048
+    store: Any = None
+    layer: str = ""
     stats: CacheStats = field(default_factory=CacheStats)
-    _buckets: "OrderedDict[str, list[_Entry]]" = field(default_factory=OrderedDict)
-    # raw text -> fingerprint, so lookups never tokenize: a miss must stay
-    # cheaper than the parse it precedes.
-    _raw_index: dict = field(default_factory=dict, repr=False)
-    _size: int = field(default=0, repr=False)
+    _entries: "OrderedDict[tuple[str, str], object]" = field(
+        default_factory=OrderedDict, repr=False
+    )
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._entries)
 
-    def get(self, raw: str, *, fp: str | None = None) -> object | None:
-        """Return the cached value for ``raw`` or None (LRU touch on hit)."""
-        fp = fp if fp is not None else self._raw_index.get(raw)
-        bucket = self._buckets.get(fp) if fp is not None else None
-        if bucket is not None:
-            for entry in bucket:
-                if entry.raw == raw:
-                    self._buckets.move_to_end(fp)
-                    self.stats.hits += 1
-                    return entry.value
-        self.stats.misses += 1
-        return None
-
-    def put(self, raw: str, value: object, *, fp: str | None = None) -> str:
-        """Store ``value`` under ``raw``; returns the fingerprint used.
-
-        Pass ``fp`` when the statement is already tokenized (e.g. from
-        ``ParsedStatement.fingerprint``) to avoid re-tokenizing ``raw``.
-        """
-        fp = fp if fp is not None else fingerprint(raw)
-        bucket = self._buckets.get(fp)
-        if bucket is None:
-            bucket = self._buckets[fp] = []
+    def get(self, text: str, scope: str = "") -> object | None:
+        """Return the value cached for ``text`` under ``scope``, or None
+        (LRU touch on hit)."""
+        key = (scope, text)
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        elif self.store is not None:
+            value = self.store.get(self.layer, key)
+            if value is not None:
+                self._insert(key, value)
+        if value is None:
+            self.stats.misses += 1
         else:
-            self._buckets.move_to_end(fp)
-        for entry in bucket:
-            if entry.raw == raw:
-                entry.value = value
-                return fp
-        bucket.append(_Entry(raw=raw, value=value))
-        self._raw_index[raw] = fp
-        self._size += 1
-        if len(bucket) > _VARIANTS_PER_BUCKET:
-            dropped = bucket.pop(0)
-            self._raw_index.pop(dropped.raw, None)
-            self._size -= 1
+            self.stats.hits += 1
+        return value
+
+    def put(self, text: str, value: object, scope: str = "") -> None:
+        """Cache ``value`` for ``text`` under ``scope`` and write it through."""
+        key = (scope, text)
+        self._insert(key, value)
+        if self.store is not None:
+            self.store.put(self.layer, key, value)
+
+    def _insert(self, key: "tuple[str, str]", value: object) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
-        # maxsize bounds total cached entries, not buckets: literal-variant
-        # heavy corpora can hold several entries per fingerprint.
-        while self._size > self.maxsize and self._buckets:
-            _, evicted = self._buckets.popitem(last=False)
-            for dropped in evicted:
-                self._raw_index.pop(dropped.raw, None)
-            self._size -= len(evicted)
-            self.stats.evictions += len(evicted)
-        return fp
 
     def info(self) -> dict:
         """Occupancy snapshot for health probes (``GET /api/health``)."""
         return {
-            "entries": self._size,
-            "buckets": len(self._buckets),
+            "entries": len(self._entries),
             "maxsize": self.maxsize,
             "hits": self.stats.hits,
             "misses": self.stats.misses,
@@ -202,6 +172,4 @@ class AnnotationCache:
         }
 
     def clear(self) -> None:
-        self._buckets.clear()
-        self._raw_index.clear()
-        self._size = 0
+        self._entries.clear()

@@ -15,6 +15,7 @@ from repro import (
 from repro.rules.query_rules import ColumnWildcardRule
 from repro.rules.registry import default_registry
 from repro.rules.thresholds import Thresholds
+from repro.sqlparser import fingerprint
 from repro.workloads.github_corpus import GitHubCorpusGenerator, with_duplicates
 
 
@@ -74,6 +75,27 @@ class TestCacheCorrectness:
         cold_payload.pop("stats")
         cached_payload.pop("stats")
         assert cold_payload == cached_payload
+
+
+class TestCacheBounds:
+    def test_cache_size_bounds_both_caches_and_counts_evictions(self):
+        sql = [f"SELECT name FROM users WHERE id = {n}" for n in range(10)]
+        detector = APDetector(DetectorConfig(cache_size=4))
+        detector.detect(sql)
+        parse_cache, memo = detector.annotation_cache, detector.memo
+        assert (len(parse_cache), parse_cache.stats.evictions) == (4, 6)
+        assert (len(memo), memo.stats.evictions) == (4, 6)
+        assert detector.memo_info["entries"] == 4
+
+    def test_literal_variants_of_one_template_all_hit_on_a_second_pass(self):
+        # Twenty texts share one fingerprint; each is cached on its own.
+        sql = [f"SELECT name FROM users WHERE id = {n}" for n in range(20)]
+        assert len({fingerprint(text) for text in sql}) == 1
+        detector = APDetector(DetectorConfig())
+        detector.detect(sql)
+        hits = detector.annotation_cache.stats.hits
+        detector.detect(sql)
+        assert detector.annotation_cache.stats.hits - hits == 20
 
 
 class TestRegistryInvalidation:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -20,9 +22,13 @@ import pytest
 from repro.detector.detector import APDetector, DetectorConfig
 from repro.detector.persist import (
     REASON_CORRUPT_FILE,
+    REASON_FORMAT,
     REASON_REGISTRY,
     PersistentMemo,
 )
+from repro.obs import MetricsRegistry, swap_registry
+from repro.rules.registry import default_registry
+from repro.sqlparser import AnnotationCache
 from repro.testkit.oracles import detection_bytes
 
 CORPUS = [
@@ -86,6 +92,80 @@ class TestWarmRestart:
         assert persistent["path"].endswith("memo.sqlite")
         assert persistent["memo_rows"] > 0
         assert persistent["corpus_rows"] >= 1
+
+
+class TestStoreTier:
+    """The store tier under the text-keyed :class:`AnnotationCache`."""
+
+    def test_store_hit_counts_once_and_is_promoted_without_write_back(self, tmp_path):
+        store = PersistentMemo(tmp_path / "memo.sqlite", registry_digest=b"r1")
+        store.put("memo", ("s1", "SELECT * FROM users"), [])
+        store.flush()
+        cache = AnnotationCache(maxsize=4, store=store, layer="memo")
+        # A stored empty detection list is a hit, not a miss.
+        assert cache.get("SELECT * FROM users", scope="s1") == []
+        assert (cache.stats.hits, cache.stats.misses, len(cache)) == (1, 0, 1)
+        assert store.hits == 1
+        assert store.info()["pending_writes"] == 0
+        # The second lookup is served from memory: the store is not read.
+        assert cache.get("SELECT * FROM users", scope="s1") == []
+        assert cache.stats.hits == 2
+        assert store.hits == 1
+        # Absent from both tiers: one miss in each.
+        assert cache.get("SELECT * FROM users", scope="s2") is None
+        assert (cache.stats.misses, store.misses) == (1, 1)
+        store.close()
+
+
+#: The store's schema before the caches stopped keying on fingerprints.
+FORMAT_1_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE memo (
+    scope TEXT NOT NULL, fingerprint TEXT NOT NULL, raw TEXT NOT NULL,
+    payload BLOB NOT NULL, PRIMARY KEY (scope, fingerprint, raw));
+CREATE TABLE annotations (
+    dialect TEXT NOT NULL, raw TEXT NOT NULL, fingerprint TEXT NOT NULL,
+    payload BLOB NOT NULL, PRIMARY KEY (dialect, raw));
+CREATE TABLE corpus (key TEXT PRIMARY KEY, payload BLOB NOT NULL);
+"""
+
+
+class TestOlderFormat:
+    def test_format_1_file_is_purged_once_and_runs_cold(self, tmp_path):
+        path = tmp_path / "memo.sqlite"
+        connection = sqlite3.connect(path)
+        connection.executescript(FORMAT_1_SCHEMA)
+        connection.executemany(
+            "INSERT INTO meta VALUES (?, ?)",
+            [
+                ("format_version", "1"),
+                ("registry_digest", default_registry().content_digest.hex()),
+            ],
+        )
+        connection.execute(
+            "INSERT INTO memo VALUES (?, ?, ?, ?)",
+            ("00" * 16, "0123456789abcdef", CORPUS[1], pickle.dumps([])),
+        )
+        connection.commit()
+        connection.close()
+
+        metrics = MetricsRegistry(enabled=True)
+        previous = swap_registry(metrics)
+        try:
+            detector = _detector(path)
+            report = detector.detect(CORPUS)
+            invalidations = detector.persistent.invalidations
+            info = detector.persistent.info()
+            detector.close()
+        finally:
+            swap_registry(previous)
+        assert invalidations == 1
+        assert metrics.persistent_memo_invalidations.value(reason=REASON_FORMAT) == 1
+        assert detection_bytes(report) == detection_bytes(
+            APDetector(DetectorConfig()).detect(CORPUS)
+        )
+        # The recreated tables took this run's writes.
+        assert info["memo_rows"] > 0 and info["annotations_rows"] > 0
 
 
 class TestCrossProcessPersistence:

@@ -6,8 +6,10 @@ import urllib.request
 
 import pytest
 
+from repro import LiveScanner, SQLCheck
 from repro.interfaces.rest import RestServer, ToolchainPool, handle_check_request
 from repro.obs import MetricsRegistry, get_metrics, set_metrics_enabled, swap_registry
+from repro.obs.prometheus import render_prometheus
 
 REQUIRED_FAMILIES = (
     "sqlcheck_annotation_cache_lookups_total",
@@ -106,3 +108,36 @@ class TestStatsMetricsBlock:
         payload = json.loads(output)
         assert "metrics" in payload["stats"]
         assert "sqlcheck_rule_fires_total" in payload["stats"]["metrics"]
+
+
+def _samples(registry: MetricsRegistry) -> "dict[str, float]":
+    """Prometheus sample lines as ``{series: value}``."""
+    samples = {}
+    for line in render_prometheus(registry).splitlines():
+        if line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            samples[series] = float(value)
+    return samples
+
+
+class TestCacheSeries:
+    """Every run that reads the caches updates the cache series once."""
+
+    def _assert_one_hit_one_miss(self, registry: MetricsRegistry) -> None:
+        samples = _samples(registry)
+        assert samples['sqlcheck_annotation_cache_lookups_total{result="hit"}'] == 1
+        assert samples['sqlcheck_annotation_cache_lookups_total{result="miss"}'] == 1
+        assert samples["sqlcheck_annotation_cache_entries"] > 0
+        assert samples["sqlcheck_detection_memo_entries"] > 0
+
+    def test_check_runs_update_the_cache_series(self, fresh_registry):
+        toolchain = SQLCheck()
+        for _ in range(2):
+            toolchain.check("SELECT * FROM t")
+        self._assert_one_hit_one_miss(fresh_registry)
+
+    def test_scan_runs_update_the_cache_series(self, fresh_registry):
+        scanner = LiveScanner()
+        for _ in range(2):
+            scanner.scan(workload=["SELECT * FROM t"])
+        self._assert_one_hit_one_miss(fresh_registry)

@@ -54,7 +54,7 @@ class TestAnnotationCache:
         assert cache.stats.misses == 1
 
     def test_fingerprint_collision_requires_exact_text(self):
-        # Same template, different literals: shared bucket, distinct entries.
+        # Same template, different literals: one fingerprint, distinct entries.
         cache = AnnotationCache(maxsize=4)
         a = "SELECT t FROM x WHERE t LIKE 'INV-2020%'"
         b = "SELECT t FROM x WHERE t LIKE '%offer%'"
