@@ -46,6 +46,51 @@ class ColumnUsage:
         return self.update_count + self.insert_count
 
 
+#: One query in the lookup index with its lower-cased column facts:
+#: qualified ``(resolved table, column)`` keys, bare column names, and the
+#: sole table of a single-table query (else ``None``).
+_IndexEntry = tuple[QueryAnnotation, set[tuple[str, str]], set[str], "str | None"]
+
+
+class _LookupIndex:
+    """Table → queries map over one snapshot of a context's ``queries``.
+
+    Built in one pass, so each lookup after it costs time in proportion to
+    its answer rather than to the workload.  ``tables`` maps a lower-cased
+    table name to the entries of the queries whose ``all_tables`` name it,
+    in workload order and each query once.  Schema facts are deliberately
+    absent: the schema can be replaced after the build.
+    """
+
+    __slots__ = ("queries", "size", "tables")
+
+    def __init__(self, queries: list[QueryAnnotation]):
+        self.queries = queries
+        self.size = len(queries)
+        self.tables: dict[str, list[_IndexEntry]] = {}
+        for query in queries:
+            names = [t.name.lower() for t in query.all_tables]
+            if not names:
+                continue
+            alias_map = query.alias_map
+            qualified: set[tuple[str, str]] = set()
+            bare: set[str] = set()
+            for reference in query.referenced_columns():
+                if reference.qualifier:
+                    resolved = alias_map.get(reference.qualifier.lower(), reference.qualifier)
+                    qualified.add((resolved.lower(), reference.name.lower()))
+                else:
+                    bare.add(reference.name.lower())
+            entry = (query, qualified, bare, names[0] if len(names) == 1 else None)
+            for name in dict.fromkeys(names):
+                self.tables.setdefault(name, []).append(entry)
+
+    def covers(self, queries: list[QueryAnnotation]) -> bool:
+        """Whether this index still describes ``queries`` (the same list,
+        not grown or shrunk since the build)."""
+        return self.queries is queries and self.size == len(queries)
+
+
 @dataclass
 class ApplicationContext:
     """Everything ap-detect knows about the target application."""
@@ -70,6 +115,11 @@ class ApplicationContext:
     #: unreachable sources); the detector folds them into its report so
     #: degraded provenance survives to every surface.
     errors: list = field(default_factory=list)
+    #: the lookup index over ``queries``, built on the first table or column
+    #: lookup and rebuilt when ``queries`` is replaced or changes length
+    #: (``ContextBuilder.extend`` appends to it); a cache, so it takes no
+    #: part in ``==`` or ``repr``.
+    _lookups: _LookupIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # schema access
@@ -131,26 +181,36 @@ class ApplicationContext:
         wanted = set(statement_types)
         return [q for q in self.queries if q.statement_type in wanted]
 
+    def _lookup_entries(self, lowered_table: str) -> list[_IndexEntry]:
+        index = self._lookups
+        if index is None or not index.covers(self.queries):
+            index = self._lookups = _LookupIndex(self.queries)
+        return index.tables.get(lowered_table, [])
+
     def queries_referencing(self, table: str) -> list[QueryAnnotation]:
-        lowered = table.lower()
-        return [
-            q
-            for q in self.queries
-            if any(t.name.lower() == lowered for t in q.all_tables)
-        ]
+        """Queries naming the table anywhere in FROM or a JOIN, in workload order."""
+        return [entry[0] for entry in self._lookup_entries(table.lower())]
 
     def queries_referencing_column(self, table: str, column: str) -> list[QueryAnnotation]:
-        """Queries whose predicates, projections, or assignments touch the column."""
-        result = []
+        """Queries whose predicates, projections, or assignments touch the column.
+
+        A qualified reference belongs to the table its qualifier resolves
+        to.  A bare one belongs to the table when the schema gives the table
+        that column or, without such schema facts, when the query reads no
+        other table.  The schema test runs per call, since the scanner
+        replaces ``schema`` after the context is built.
+        """
+        lowered_table = table.lower()
         lowered_column = column.lower()
-        for query in self.queries_referencing(table):
-            for reference in query.referenced_columns():
-                if reference.name.lower() == lowered_column and self._column_belongs(
-                    query, reference, table
-                ):
-                    result.append(query)
-                    break
-        return result
+        key = (lowered_table, lowered_column)
+        table_def = self.schema.get_table(table)
+        owned = table_def is not None and table_def.has_column(column)
+        return [
+            query
+            for query, qualified, bare, sole in self._lookup_entries(lowered_table)
+            if key in qualified
+            or (lowered_column in bare and (owned or sole == lowered_table))
+        ]
 
     def join_pairs(self) -> list[tuple[str, str]]:
         """Pairs of tables that are joined anywhere in the workload."""
@@ -248,16 +308,3 @@ class ApplicationContext:
                 for column in query.insert_columns:
                     bump(default_table, column, "insert_count")
         return usage
-
-    def _column_belongs(
-        self, query: QueryAnnotation, reference: ColumnReference, table: str
-    ) -> bool:
-        if reference.qualifier:
-            resolved = query.alias_map.get(reference.qualifier.lower(), reference.qualifier)
-            return resolved.lower() == table.lower()
-        table_def = self.schema.get_table(table)
-        if table_def is not None and table_def.has_column(reference.name):
-            return True
-        # Without schema information, a bare column in a single-table query
-        # belongs to that table.
-        return len(query.all_tables) == 1 and query.all_tables[0].name.lower() == table.lower()

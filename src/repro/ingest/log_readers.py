@@ -507,11 +507,8 @@ _SQL_LEADING_KEYWORDS = (
 
 
 def _read_sample(path: "str | Path") -> str:
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            return handle.read(8192)
-    except OSError:
-        return ""
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        return handle.read(8192)
 
 
 def detect_log_format(path: "str | Path", sample: str | None = None) -> str:
@@ -521,14 +518,20 @@ def detect_log_format(path: "str | Path", sample: str | None = None) -> str:
     Otherwise the content is probed against every known dialect, and a
     sample that cannot be *any* of them — empty, whitespace-only, or
     binary — raises :class:`LogDetectionError` (carrying the probed
-    formats) instead of misclassifying the file as SQL.
+    formats) instead of misclassifying the file as SQL.  A file that must
+    be probed but cannot be read raises the :class:`OSError`.
     """
     name = str(path).lower()
     if name.endswith(".csv"):
         # Both csvlog files and pg_stat_statements exports are ".csv"; only
         # the latter opens with a header row naming query/calls columns.
         if sample is None:
-            sample = _read_sample(path)
+            try:
+                sample = _read_sample(path)
+            except OSError:
+                # The extension already names the family; reading the log
+                # itself reports the unreadable file.
+                sample = ""
         if _looks_like_pg_stat_header(sample):
             return "pg_stat_statements"
         return "postgres-csv"

@@ -126,6 +126,25 @@ def _finish_trace(path: "str | None") -> None:
     print(f"sqlcheck: trace with {count} span(s) written to {path}", file=sys.stderr)
 
 
+def _cannot_read(path: str, error: "OSError | UnicodeDecodeError") -> str:
+    """The exit-2 message for an input file that cannot be read."""
+    reason = error.strerror if isinstance(error, OSError) and error.strerror else error
+    return f"error: cannot read {path}: {reason}"
+
+
+def _read_sql_files(paths: Sequence[str]) -> "tuple[list[tuple[str, str]], str | None]":
+    """``(path, text)`` for each input file in order, or, at the first file
+    that cannot be read, no texts and the message naming it."""
+    contents: list[tuple[str, str]] = []
+    for path in paths:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                contents.append((path, handle.read()))
+        except (OSError, UnicodeDecodeError) as error:
+            return [], _cannot_read(path, error)
+    return contents, None
+
+
 def build_selftest_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqlcheck selftest",
@@ -295,9 +314,12 @@ def _run_scan(args: argparse.Namespace) -> tuple[int, str]:
         connector = connect(args.db) if args.db else None
         workload: "WorkloadLog | None" = None
         for path in args.log:
-            piece = read_workload_log(
-                path, log_format, max_errors=args.max_errors, strict=args.strict
-            )
+            try:
+                piece = read_workload_log(
+                    path, log_format, max_errors=args.max_errors, strict=args.strict
+                )
+            except OSError as error:
+                return 2, _cannot_read(path, error)
             workload = piece if workload is None else workload.merge(piece)
         if args.pg_stat:
             piece = read_pg_stat_table(connector, args.pg_stat)
@@ -427,10 +449,10 @@ def run_profile_command(argv: Sequence[str]) -> tuple[int, str]:
     args = build_profile_parser().parse_args(list(argv))
     if args.top < 0:
         return 2, "error: --top must be a non-negative number of rules"
-    sql_parts: list[str] = []
-    for path in args.files:
-        with open(path, "r", encoding="utf-8") as handle:
-            sql_parts.append(handle.read())
+    file_contents, failure = _read_sql_files(args.files)
+    if failure:
+        return 2, failure
+    sql_parts = [text for _, text in file_contents]
     sql_parts.extend(args.query)
     if sql_parts:
         corpus: "Sequence[str] | str" = sql_parts[0] if len(sql_parts) == 1 else sql_parts
@@ -502,10 +524,10 @@ def run_selftest_command(argv: Sequence[str]) -> tuple[int, str]:
     args = build_selftest_parser().parse_args(list(argv))
     corpus = None
     if args.files:
-        corpus = []
-        for path in args.files:
-            with open(path, "r", encoding="utf-8") as handle:
-                corpus.extend(split(handle.read()))
+        file_contents, failure = _read_sql_files(args.files)
+        if failure:
+            return 2, failure
+        corpus = [statement for _, text in file_contents for statement in split(text)]
     result = run_selftest(
         corpus,
         seed=args.seed,
@@ -550,10 +572,9 @@ def run(argv: Sequence[str] | None = None, *, stdin: str | None = None) -> tuple
 
 
 def _run_main(args: argparse.Namespace, stdin: "str | None") -> tuple[int, str]:
-    file_contents: list[tuple[str, str]] = []
-    for path in args.files:
-        with open(path, "r", encoding="utf-8") as handle:
-            file_contents.append((path, handle.read()))
+    file_contents, failure = _read_sql_files(args.files)
+    if failure:
+        return 2, failure
     sql_parts: list[str] = [content for _, content in file_contents]
     sql_parts.extend(args.query)
     if not sql_parts:

@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sqlite3
+import subprocess
+import sys
 import urllib.request
 from pathlib import Path
 
@@ -68,6 +71,45 @@ class TestCLI:
         args = build_parser().parse_args([])
         assert args.config == "C1"
         assert args.format == "text"
+
+    @pytest.mark.parametrize("command", [[], ["selftest"], ["profile"]])
+    def test_missing_file_is_an_input_error(self, tmp_path, command):
+        missing = tmp_path / "missing.sql"
+        code, output = run(command + [str(missing)])
+        assert code == 2  # not 1, which means "findings present"
+        assert output.startswith(f"error: cannot read {missing}: ")
+        assert "No such file" in output
+
+    def test_undecodable_file_is_an_input_error(self, tmp_path):
+        binary = tmp_path / "dump.sql"
+        binary.write_bytes(b"SELECT \xff\xfe FROM t;")
+        code, output = run([str(binary)])
+        assert code == 2
+        assert output.startswith(f"error: cannot read {binary}: ")
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_without_a_runtime_warning(self):
+        """``python -m repro.interfaces.cli`` must not find the module
+        already imported by its package (runpy's RuntimeWarning)."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.interfaces.cli",
+             "--query", "SELECT 1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "0 anti-pattern" in result.stdout
+
+    def test_package_names_stay_importable(self):
+        from repro.interfaces import SQLCheckShell as shell_class
+        from repro.interfaces import cli_main
+        from repro.interfaces.cli import main
+
+        assert cli_main is main
+        assert shell_class is SQLCheckShell
 
 
 @pytest.fixture
@@ -150,6 +192,15 @@ class TestCLIScan:
         code, output = run(["scan", "--db", str(db_path), "--log", "/nope/missing.log"])
         assert code == 2 and "error:" in output
         assert closed, "connector was not closed on the error path"
+
+    def test_scan_unreadable_log_is_named_not_called_empty(self, tmp_path):
+        """Without a known extension the log is probed for its format; a
+        file that cannot be opened must say so, not read as empty."""
+        missing = tmp_path / "missing"
+        code, output = run(["scan", "--log", str(missing)])
+        assert code == 2
+        assert output.startswith(f"error: cannot read {missing}: ")
+        assert "empty" not in output
 
     def test_scan_stats_flag(self, scan_fixtures):
         db_path, log_path = scan_fixtures
