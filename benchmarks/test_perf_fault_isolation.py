@@ -85,8 +85,16 @@ def _measure_quarantine_overhead(corpus: "list[str]") -> dict:
     off = [d.to_dict() for d in run(False).detections]
     assert on == off, "quarantine wrappers changed the clean-path detections"
 
-    seconds_on = _best_seconds(lambda: run(True))
-    seconds_off = _best_seconds(lambda: run(False))
+    # On and off alternate within each repeat, the first side rotating, so
+    # a slow spell on a shared runner lands on both modes alike instead of
+    # on whichever block of repeats it happens to hit.
+    best = {True: float("inf"), False: float("inf")}
+    for repeat in range(REPEATS):
+        for quarantine in (True, False) if repeat % 2 == 0 else (False, True):
+            start = time.perf_counter()
+            run(quarantine)
+            best[quarantine] = min(best[quarantine], time.perf_counter() - start)
+    seconds_on, seconds_off = best[True], best[False]
     overhead = seconds_on / seconds_off - 1.0
     return {
         "statements": len(corpus),

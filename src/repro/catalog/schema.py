@@ -217,6 +217,16 @@ class Schema:
                     result.append((table.name, fk))
         return result
 
+    def column_owners(self) -> dict[str, list[tuple[Table, Column]]]:
+        """Lower-cased column name → its ``(table, column)`` pairs, in table
+        order, so a lookup answers as :meth:`resolve_column` does.  A
+        snapshot: later DDL on this schema is not reflected."""
+        owners: dict[str, list[tuple[Table, Column]]] = {}
+        for table in self.tables.values():
+            for key, col in table.columns.items():
+                owners.setdefault(key, []).append((table, col))
+        return owners
+
     def resolve_column(self, column: str, hint_tables: list[str] | None = None
                        ) -> tuple[Table, Column] | None:
         """Find the (table, column) pair a bare column name refers to.

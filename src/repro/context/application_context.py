@@ -247,8 +247,12 @@ class ApplicationContext:
     # ------------------------------------------------------------------
     # workload statistics
     # ------------------------------------------------------------------
-    def column_usage(self) -> dict[tuple[str, str], ColumnUsage]:
-        """Aggregate how every (table, column) pair is used across queries."""
+    def column_usage(self, owners: "dict | None" = None) -> dict[tuple[str, str], ColumnUsage]:
+        """Aggregate how every (table, column) pair is used across queries.
+
+        Bare columns resolve through ``owners``, this schema's
+        ``column_owners()`` (built here unless the caller holds it).
+        """
         usage: dict[tuple[str, str], ColumnUsage] = {}
 
         def bump(table: str | None, column: str, attribute: str) -> None:
@@ -261,14 +265,8 @@ class ApplicationContext:
                 usage[key] = entry
             setattr(entry, attribute, getattr(entry, attribute) + 1)
 
-        # Reverse column→tables index, one pass over the catalog instead of
-        # a full table scan per bare reference.  Candidate lists preserve
-        # schema insertion order, so hint preference and first-candidate
-        # fallback below replicate Schema.resolve_column exactly.
-        owners: dict[str, list] = {}
-        for table_def in self.schema.tables.values():
-            for key, col in table_def.columns.items():
-                owners.setdefault(key, []).append(table_def)
+        if owners is None:
+            owners = self.schema.column_owners()
 
         for query in self.queries:
             alias_map = query.alias_map
@@ -283,10 +281,10 @@ class ApplicationContext:
                 if candidates:
                     if hint_names is None:
                         hint_names = {t.name.lower() for t in query.all_tables}
-                    for table_def in candidates:
+                    for table_def, _ in candidates:
                         if table_def.name.lower() in hint_names:
                             return table_def.name
-                    return candidates[0].name
+                    return candidates[0][0].name
                 return default_table
 
             for predicate in query.predicates:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..context.application_context import ApplicationContext
-from ..context.builder import ContextBuilder
 from ..detector.detector import APDetector, DetectorConfig
 from ..errors import CODE_FIX_ERROR, CODE_RANK_ERROR, PipelineError
 from ..detector.pipeline import (
@@ -277,13 +276,9 @@ class SQLCheck:
         self.detector = APDetector(self.options.detector, registry=self.registry)
         self.ranker = APRanker(self.options.ranking, metrics=self.options.metrics)
         self.fixer = APFixer(self.repair_engine)
-        # Share the detector's annotation cache so check() and detect() hit
-        # the same parsed-statement templates.
-        self._builder = ContextBuilder(
-            sample_size=self.options.detector.sample_size,
-            dialect=self.options.detector.dialect,
-            annotation_cache=self.detector.annotation_cache,
-        )
+        # The detector's builder, so check() and detect() share one parse
+        # cache; LiveScanner and the offline oracles build contexts with it.
+        self._builder = self.detector._builder
 
     # ------------------------------------------------------------------
     # public API

@@ -58,7 +58,8 @@ class DetectorConfig:
 
     ``enable_cache`` / ``cache_size`` control the annotation cache and the
     per-statement detection memo; ``workers`` is the default fan-out of
-    :meth:`APDetector.detect_batch`.
+    :meth:`APDetector.detect_batch`.  No setting changes which rules run on
+    a statement: those its type's compiled trigger automaton selects.
 
     Attributes:
         enable_inter_query: apply contextual (whole-workload) refinements.
@@ -84,12 +85,6 @@ class DetectorConfig:
             cleanly back to the cold path; a corrupt or stale file is
             dropped and recreated, never served.  ``None`` (default) keeps
             all caches in-memory only.
-        fused: run the fused matching engine — compiled trigger-token
-            pre-filter plus per-run workload-fact caches.  Off, detection
-            takes the pre-fusion reference path (plain dispatch, facts
-            recomputed per rule call), which exists for the fused≡reference
-            conformance oracle and the cold-path benchmark; both paths
-            produce byte-identical reports.
     """
 
     enable_inter_query: bool = True
@@ -103,7 +98,6 @@ class DetectorConfig:
     cache_size: int = 4096
     workers: int = 1
     quarantine: bool = True
-    fused: bool = True
     persistent_memo_path: "str | None" = None
 
 
@@ -154,10 +148,6 @@ class APDetector:
         # Detection templates by statement text under the memo scope; unused
         # when the scope is None (caching off, or a context with live data).
         self.memo = AnnotationCache(size, store=self.persistent, layer="memo")
-        # statement type -> candidate rule count, for the prefilter metrics
-        # (telemetry only — avoids a second registry dispatch per statement;
-        # a registry mutated mid-run refreshes on the next detector).
-        self._candidate_counts: "dict[str, int]" = {}
 
     def _open_persistent(self):
         """Open the persistent memo when configured; ``None`` otherwise."""
@@ -378,7 +368,6 @@ class APDetector:
             thresholds=self.config.thresholds,
             use_inter_query=self.config.enable_inter_query,
             use_data=self.config.enable_data,
-            cache_facts=self.config.fused,
         )
         memo_scope = self._memo_scope(context)
         threshold = self.config.confidence_threshold
@@ -467,30 +456,18 @@ class APDetector:
                 metrics.memo_lookups.inc_single("miss")
         detections: list[Detection] = []
         quarantined = False
-        if self.config.fused:
-            # One pass over the compiled trigger automaton: rules whose
-            # trigger atoms are absent from the statement never execute.
-            rules = self.registry.fused_rules_for(
-                annotation.statement_type, annotation.raw.upper()
-            )
-            if metrics.enabled:
-                candidates = self._candidate_counts.get(annotation.statement_type)
-                if candidates is None:
-                    candidates = len(
-                        self.registry.rules_for_statement(annotation.statement_type)
-                    )
-                    self._candidate_counts[annotation.statement_type] = candidates
-                skipped = candidates - len(rules)
-                if rules:
-                    metrics.prefilter_rules.inc_single("selected", len(rules))
-                if skipped > 0:
-                    metrics.prefilter_rules.inc_single("skipped", skipped)
-        else:
-            rules = self.registry.rules_for_statement(annotation.statement_type)
+        # Algorithm 2's RulesForQuery, narrowed by the trigger automaton:
+        # rules whose trigger atoms are absent never execute.
+        automaton = self.registry.automaton_for(annotation.statement_type)
+        rules = automaton.select(annotation.raw.upper())
+        if metrics.enabled:
+            skipped = len(automaton.rules) - len(rules)
+            if rules:
+                metrics.prefilter_rules.inc_single("selected", len(rules))
+            if skipped > 0:
+                metrics.prefilter_rules.inc_single("skipped", skipped)
         for rule in rules:
             if rule.requires_context and not self.config.enable_inter_query:
-                continue
-            if not rule.applies_to(annotation):
                 continue
             if errors is None:
                 detections.extend(rule.observed_check(annotation, rule_context))
@@ -564,7 +541,7 @@ class APDetector:
         digest.update(self.registry.content_digest)
         digest.update(repr(dataclasses.astuple(cfg.thresholds)).encode())
         digest.update(
-            f"{cfg.enable_inter_query}|{cfg.enable_data}|{cfg.fused}|"
+            f"{cfg.enable_inter_query}|{cfg.enable_data}|"
             f"{cfg.confidence_threshold!r}|{cfg.deduplicate}|{cfg.quarantine}|"
             f"{self._builder.dialect.name}|{source!r}".encode("utf-8", "replace")
         )
@@ -632,7 +609,6 @@ class APDetector:
         digest.update(repr(dataclasses.astuple(self.config.thresholds)).encode())
         digest.update(
             f"{self.config.enable_inter_query}|{self.config.enable_data}|"
-            f"{self.config.fused}|"
             f"{getattr(context.dialect, 'name', context.dialect)}".encode()
         )
         # The workload signature only matters when inter-query rules can

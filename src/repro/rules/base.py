@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..context.application_context import ApplicationContext
 from ..model.antipatterns import AntiPattern
@@ -182,17 +182,17 @@ class RuleContext:
 
     One ``RuleContext`` lives for exactly one detection run, during which
     the workload and schema are fixed — so workload-level facts that many
-    statements re-derive (the column-usage aggregate, bare-column
-    resolution) are memoized here.  ``cache_facts=False`` (the pre-fusion
-    reference path) recomputes them per call, exactly as the seed detector
-    did.
+    statements re-derive (the column-usage aggregate, the column → owning
+    tables map behind bare-column resolution) are computed once here.
+    They are not cached on the application context: with an engine
+    database attached, ``application.schema`` *is* the database's schema,
+    and DDL run on the engine changes it in place between runs.
     """
 
     application: ApplicationContext
     thresholds: Thresholds = field(default_factory=Thresholds)
     use_inter_query: bool = True
     use_data: bool = True
-    cache_facts: bool = True
     _column_usage: "dict | None" = field(default=None, repr=False, compare=False)
     _column_owners: "dict[str, list] | None" = field(default=None, repr=False, compare=False)
 
@@ -209,6 +209,11 @@ class RuleContext:
         return self.application.queries if self.use_inter_query else []
 
     # -- per-run workload facts -------------------------------------------
+    def _owners(self) -> "dict[str, list]":
+        if self._column_owners is None:
+            self._column_owners = self.application.schema.column_owners()
+        return self._column_owners
+
     def column_usage(self) -> dict:
         """The workload's column-usage aggregate, computed once per run.
 
@@ -216,30 +221,16 @@ class RuleContext:
         it per CREATE INDEX statement made corpus-scale detection quadratic
         in the workload size.
         """
-        if not self.cache_facts:
-            return self.application.column_usage()
         if self._column_usage is None:
-            self._column_usage = self.application.column_usage()
+            self._column_usage = self.application.column_usage(self._owners())
         return self._column_usage
 
     def resolve_column(self, column: str, hint_tables: "list[str] | None" = None):
-        """Schema column resolution served from a per-run reverse index.
-
-        Byte-identical to ``Schema.resolve_column``: candidate tables are
-        collected in schema insertion order, tables named in ``hint_tables``
-        win, otherwise the first candidate does.
+        """``Schema.resolve_column`` served from the per-run owner map:
+        tables named in ``hint_tables`` win, otherwise the first candidate
+        in schema order does (``check_prefilter_soundness`` compares them).
         """
-        schema = self.application.schema
-        if not self.cache_facts:
-            return schema.resolve_column(column, hint_tables)
-        owners = self._column_owners
-        if owners is None:
-            owners = {}
-            for table in schema.tables.values():
-                for key, col in table.columns.items():
-                    owners.setdefault(key, []).append((table, col))
-            self._column_owners = owners
-        candidates = owners.get(column.lower())
+        candidates = self._owners().get(column.lower())
         if not candidates:
             return None
         if hint_tables:
@@ -326,19 +317,14 @@ class QueryRule(Rule):
     statement_types: tuple[str, ...] = ()
     #: True when the rule needs the inter-query context to fire at all.
     requires_context: bool = False
-    #: Trigger atoms for the fused matcher's keyword pre-filter: upper-cased
+    #: Trigger atoms for the detector's keyword pre-filter: upper-cased
     #: substrings of which at least one MUST occur in ``raw.upper()`` for
     #: ``check`` to possibly return a detection — under every threshold
     #: configuration the rule honours.  ``None`` (the default) declares no
-    #: trigger knowledge; such rules always run.  Declaring trigger tokens
-    #: is purely an optimisation and must never change detection results
-    #: (the fused≡reference conformance oracle enforces this).
+    #: trigger knowledge; such rules always run.  A statement without any
+    #: atom never reaches ``check``; ``check_prefilter_soundness`` runs
+    #: every skipped rule and fails on any detection.
     trigger_tokens: "tuple[str, ...] | None" = None
-
-    def applies_to(self, annotation: QueryAnnotation) -> bool:
-        if not self.statement_types:
-            return True
-        return annotation.statement_type in self.statement_types
 
     @abc.abstractmethod
     def check(self, annotation: QueryAnnotation, context: RuleContext) -> list[Detection]:
@@ -401,10 +387,3 @@ class DataRule(Rule):
             )
         return found
 
-
-def merge_detections(groups: Iterable[list[Detection]]) -> list[Detection]:
-    """Flatten detection lists produced by several rules."""
-    merged: list[Detection] = []
-    for group in groups:
-        merged.extend(group)
-    return merged

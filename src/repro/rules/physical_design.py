@@ -473,9 +473,9 @@ class IndexOveruseRule(QueryRule):
             return []
         detections: list[Detection] = []
         indexes = list(table.indexes.values())
-        # Served from the per-run RuleContext cache: recomputing the whole
-        # workload aggregate per CREATE INDEX statement was the detector's
-        # dominant quadratic cost on corpus workloads.
+        # Computed once per run by RuleContext, not per CREATE INDEX
+        # statement, which would be quadratic in the workload; the counted
+        # contract in benchmarks/test_perf_fused_cold_path.py holds it.
         usage = context.column_usage()
 
         # (1) sheer number of indexes on one table

@@ -67,8 +67,9 @@ class TriggerAutomaton:
     so selecting the applicable rules for a statement costs one containment
     test per *distinct* atom instead of one scan per rule, and rules whose
     atoms are all absent are never executed.  Rules that declare no
-    triggers always run.  Selection preserves registration order, so fused
-    detection output is byte-identical to the unfiltered dispatch.
+    triggers always run.  Selection preserves registration order, so
+    filtered detection output is byte-identical to the unfiltered dispatch
+    as long as every declaration is sound (``check_prefilter_soundness``).
     """
 
     __slots__ = ("rules", "_always", "_atom_positions", "_filtered")
@@ -287,20 +288,20 @@ class RuleRegistry:
             )
         return cached
 
-    def fused_rules_for(self, statement_type: str, raw_upper: str) -> "tuple[QueryRule, ...]":
-        """Rules that can possibly fire on a statement, pre-filtered by the
-        compiled :class:`TriggerAutomaton` for its statement type.
-
-        ``raw_upper`` is the statement's upper-cased raw text.  Freshness
-        and drift detection are inherited from :meth:`rules_for_statement`,
-        whose result the automaton is compiled from.
-        """
+    def automaton_for(self, statement_type: str) -> TriggerAutomaton:
+        """The :class:`TriggerAutomaton` compiled from
+        :meth:`rules_for_statement`; every mutation drops it."""
         automaton = self._compiled.get(statement_type)
         if automaton is None:
             automaton = self._compiled[statement_type] = TriggerAutomaton(
                 self.rules_for_statement(statement_type)
             )
-        return automaton.select(raw_upper)
+        return automaton
+
+    def fused_rules_for(self, statement_type: str, raw_upper: str) -> "tuple[QueryRule, ...]":
+        """Rules that can possibly fire on a statement (``raw_upper`` is its
+        upper-cased raw text), pre-filtered by :meth:`automaton_for`."""
+        return self.automaton_for(statement_type).select(raw_upper)
 
     def anti_patterns_covered(self) -> set[AntiPattern]:
         return {r.anti_pattern for r in self._query_rules} | {

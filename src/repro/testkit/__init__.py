@@ -13,7 +13,8 @@ behind those claims:
 * :mod:`repro.testkit.golden` — the golden-corpus snapshot format
   (``tests/conformance/golden/*.jsonl``) with an update path;
 * :mod:`repro.testkit.oracles` — differential oracles: cold vs. warm-cache
-  vs. batch equivalence, detector vs. dbdeo agreement, fixer round-trips,
+  vs. batch equivalence, trigger pre-filter soundness, detector vs. dbdeo
+  agreement, fixer round-trips,
   pipeline-stats accounting, live-scan vs. offline equivalence, fault
   isolation (degraded runs preserve the clean subset byte-for-byte), and
   observability transparency (metrics/tracing never change a detection);
@@ -44,8 +45,8 @@ from .oracles import (
     check_dbdeo_agreement,
     check_fault_isolation,
     check_fixer_round_trip,
-    check_fused_equivalence,
     check_observability_transparency,
+    check_prefilter_soundness,
     check_scan_equivalence,
     check_service_equivalence,
     check_stats_accounting,
@@ -71,8 +72,8 @@ __all__ = [
     "check_dbdeo_agreement",
     "check_fault_isolation",
     "check_fixer_round_trip",
-    "check_fused_equivalence",
     "check_observability_transparency",
+    "check_prefilter_soundness",
     "check_scan_equivalence",
     "check_service_equivalence",
     "check_stats_accounting",

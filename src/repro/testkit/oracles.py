@@ -6,6 +6,9 @@ Every oracle returns a list of :class:`OracleFailure` (empty = pass):
   optimisation: a cold detector (caches off), a warm detector (second run
   over the same instance), and ``detect_batch`` must produce byte-identical
   reports over the same corpus;
+* :func:`check_prefilter_soundness` — the trigger-token pre-filter may
+  skip work, never findings: every rule it skips, run directly, must find
+  nothing;
 * :func:`check_stats_accounting` — :class:`PipelineStats` totals must equal
   the sum of the stage times (wall-clock semantics), catching double- or
   un-counted stages on any pipeline path, including the serial fallbacks;
@@ -49,6 +52,7 @@ from ..detector.detector import APDetector, DetectorConfig
 from ..detector.pipeline import PipelineStats
 from ..model.antipatterns import AntiPattern
 from ..model.detection import DetectionReport
+from ..rules.registry import RuleRegistry, default_registry
 from ..sqlparser import parse
 from .generator import CorpusGenerator, GeneratedStatement
 
@@ -147,49 +151,50 @@ def check_cold_warm_batch(
 
 
 # ----------------------------------------------------------------------
-# fused matcher vs. pre-fusion reference
+# trigger pre-filter soundness
 # ----------------------------------------------------------------------
-def check_fused_equivalence(
+def check_prefilter_soundness(
     corpus: "Sequence[str] | None" = None,
     *,
     seed: int = 2020,
     statements: int = 60,
-    workers: int = 2,
     config: DetectorConfig | None = None,
+    registry: "RuleRegistry | None" = None,
 ) -> "list[OracleFailure]":
-    """Fused matcher ≡ pre-fusion reference path, byte for byte.
+    """The trigger pre-filter never drops a finding.
 
-    The fused cold path (trigger-token pre-filter over the compiled
-    :class:`~repro.rules.registry.TriggerAutomaton` plus per-run
-    workload-fact caches) is pure optimisation: over every corpus and
-    configuration its detections must serialise identically to the
-    reference path (``fused=False`` — plain dispatch, facts recomputed per
-    rule call, exactly the pre-fusion detector).  Checked corpora: the
-    fuzzed (or given) corpus and every registered rule's conformance
-    examples — the statements behind the golden corpus.  Checked
-    configurations: the given (or default) config, intra-query-only,
-    cache-off, and the strict-thresholds ablation; ``detect_batch`` is
-    compared against the reference on the main corpus too, so the sharded
-    fan-out inherits the same guarantee.
+    The detector runs only the candidates (``rules_for_statement``) that
+    ``fused_rules_for`` selects.  This runs every skipped candidate the
+    detector would otherwise run (same ``requires_context`` gate) directly
+    and fails on any detection, over the fuzzed (or given) corpus and every
+    rule's examples (rows loaded), under the given config, intra-query
+    only, and strict thresholds.  It also checks each bare column's
+    ``RuleContext.resolve_column`` against ``Schema.resolve_column``, and
+    fails a run that audits no skipped rule.
     """
     import dataclasses as _dc
 
-    from ..rules.registry import default_registry
+    from ..context.builder import ContextBuilder
+    from ..rules.base import RuleContext
     from ..rules.thresholds import Thresholds
+    from .conformance import _build_database
 
+    registry = registry or default_registry()
     if corpus is None:
         corpus = CorpusGenerator(seed).corpus_sql(statements)
-    corpus = list(corpus)
-    example_corpora = [
-        (f"example {rule.name}/{index}", list(example.statements))
-        for rule in default_registry()
+    subjects = [("fuzzed corpus", list(corpus), None)] + [
+        (
+            f"example {rule.name}/{index}",
+            list(example.statements),
+            _build_database(example) if example.needs_database else None,
+        )
+        for rule in registry
         for index, example in enumerate(rule.examples())
     ]
     base = config or DetectorConfig()
     configurations = {
         "default": base,
         "intra-only": _dc.replace(base, enable_inter_query=False),
-        "cache-off": _dc.replace(base, enable_cache=False),
         "strict-thresholds": _dc.replace(
             base,
             thresholds=Thresholds(
@@ -201,28 +206,54 @@ def check_fused_equivalence(
             ),
         ),
     }
+    builder = ContextBuilder(sample_size=base.sample_size, dialect=base.dialect)
     failures: list[OracleFailure] = []
-    for config_name, configured in configurations.items():
-        fused_config = _dc.replace(configured, fused=True)
-        reference_config = _dc.replace(configured, fused=False)
-        for subject, subject_corpus in [("fuzzed corpus", corpus), *example_corpora]:
-            fused = detection_bytes(APDetector(fused_config).detect(subject_corpus))
-            reference = detection_bytes(
-                APDetector(reference_config).detect(subject_corpus)
-            )
-            if fused != reference:
-                failures.append(OracleFailure(
-                    "fused-equivalence", f"{subject} [{config_name}]",
-                    "fused detections differ from the pre-fusion reference path"))
-        batch_report, stats = APDetector(fused_config).detect_batch(
-            corpus, workers=workers
+    audited = 0
+    for subject, subject_corpus, database in subjects:
+        context = builder.build(
+            subject_corpus, database=database, quarantine=base.quarantine
         )
-        reference = detection_bytes(APDetector(reference_config).detect(corpus))
-        if detection_bytes(batch_report) != reference:
-            failures.append(OracleFailure(
-                "fused-equivalence", f"detect_batch [{config_name}]",
-                f"fused batch pipeline ({stats.parallel_mode}) differs from the "
-                "pre-fusion reference path"))
+        for config_name, configured in configurations.items():
+            rule_context = RuleContext(
+                application=context,
+                thresholds=configured.thresholds,
+                use_inter_query=configured.enable_inter_query,
+                use_data=configured.enable_data,
+            )
+            for annotation in context.queries:
+                selected = registry.fused_rules_for(
+                    annotation.statement_type, annotation.raw.upper()
+                )
+                for rule in registry.rules_for_statement(annotation.statement_type):
+                    if rule in selected or (
+                        rule.requires_context and not configured.enable_inter_query
+                    ):
+                        continue
+                    audited += 1
+                    found = rule.check(annotation, rule_context)
+                    if found:
+                        failures.append(OracleFailure(
+                            "prefilter-soundness", f"{subject} [{config_name}]",
+                            f"{rule.name} was skipped (trigger tokens "
+                            f"{rule.trigger_tokens!r} absent) but finds "
+                            f"{len(found)} on {annotation.raw[:80]!r}"))
+        rule_context = RuleContext(application=context)
+        for annotation in context.queries:
+            hints = [table.name for table in annotation.all_tables]
+            for reference in annotation.referenced_columns():
+                if reference.qualifier:
+                    continue
+                served = rule_context.resolve_column(reference.name, hints)
+                scanned = context.schema.resolve_column(reference.name, hints)
+                if served != scanned:
+                    failures.append(OracleFailure(
+                        "prefilter-soundness", subject,
+                        f"RuleContext.resolve_column({reference.name!r}, {hints!r}) "
+                        "differs from Schema.resolve_column"))
+    if audited == 0:
+        failures.append(OracleFailure(
+            "prefilter-soundness", "all subjects",
+            "the pre-filter skipped no rule, so nothing was audited"))
     return failures
 
 

@@ -23,8 +23,8 @@ from .oracles import (
     check_dbdeo_agreement,
     check_fault_isolation,
     check_fixer_round_trip,
-    check_fused_equivalence,
     check_observability_transparency,
+    check_prefilter_soundness,
     check_service_equivalence,
 )
 
@@ -204,12 +204,12 @@ def run_selftest(
         check_fault_isolation(corpus, seed=seed, config=config)
     )
 
-    # 8. fused matcher vs. pre-fusion reference: the trigger pre-filter and
-    #    workload-fact caches must be pure optimisation — byte-identical
-    #    detections over the corpus, every rule example, and the ablated
-    #    configurations, so any matcher drift fails the selftest.
+    # 8. pre-filter soundness: every rule the trigger automaton skips, run
+    #    directly over the corpus, every rule example and the ablated
+    #    configurations, must find nothing — the filter skips work, never
+    #    findings.
     result.oracle_failures.extend(
-        check_fused_equivalence(corpus, seed=seed, workers=workers, config=config)
+        check_prefilter_soundness(corpus, seed=seed, config=config)
     )
 
     # 9. observability transparency: the metrics registry and the tracer

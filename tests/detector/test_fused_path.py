@@ -2,8 +2,9 @@
 
 Four contracts pinned here:
 
-* the trigger-token pre-filter really skips rules whose atoms are absent
-  (and the ``fused=False`` reference path really does not);
+* the trigger-token pre-filter really skips rules whose atoms are absent,
+  and its skipped-rule metric follows registry mutations on a live
+  detector;
 * ``APDetector.stream`` honours ``DetectorConfig.quarantine`` exactly like
   ``detect`` — same detections, same structured error records;
 * with ``enable_inter_query=False`` the detection memo is workload-scoped
@@ -22,6 +23,7 @@ from repro.detector import detector as detector_module
 from repro.detector import pipeline as pipeline_module
 from repro.errors import CODE_PARSE_ERROR, CODE_RULE_ERROR
 from repro.model.antipatterns import AntiPattern
+from repro.obs import get_metrics, set_metrics_enabled
 from repro.rules import RuleRegistry, default_registry
 from repro.rules.base import QueryRule
 from repro.testkit import ChaosError, CrashingRule, detection_bytes
@@ -73,13 +75,25 @@ class TestTriggerPreFilter:
         detector.detect(["SELECT magictoken FROM t"])
         assert counting.calls == 1
 
-    def test_reference_path_runs_the_rule_regardless(self):
-        registry, counting = _counting_registry()
-        detector = APDetector(
-            DetectorConfig(enable_cache=False, fused=False), registry=registry
-        )
-        detector.detect(["SELECT a FROM t", "SELECT b FROM u WHERE b = 1"])
-        assert counting.calls == 2
+    def test_skipped_count_follows_registry_mutations(self):
+        def skipped(detector):
+            before = get_metrics().prefilter_rules.value(outcome="skipped")
+            detector.detect(["SELECT a FROM t"])
+            return get_metrics().prefilter_rules.value(outcome="skipped") - before
+
+        previous = set_metrics_enabled(True)
+        try:
+            registry = RuleRegistry(list(default_registry()))
+            live = APDetector(DetectorConfig(enable_cache=False), registry=registry)
+            initial = skipped(live)
+            registry.register(CountingRule())
+            assert skipped(live) == initial + 1
+            registry.unregister("OrderingByRandRule")
+            registry.unregister("PatternMatchingRule")
+            fresh = APDetector(DetectorConfig(enable_cache=False), registry=registry)
+            assert skipped(live) == skipped(fresh) == initial - 1
+        finally:
+            set_metrics_enabled(previous)
 
     def test_fused_selection_preserves_registration_order(self):
         registry = default_registry()
