@@ -86,24 +86,53 @@ _TYPE_RE = re.compile(
     r"^\s*(?P<name>[A-Za-z][A-Za-z0-9_ ]*)\s*(\(\s*(?P<args>[^)]*)\s*\))?\s*(?P<suffix>.*)$"
 )
 
-# Value-shape patterns of :func:`infer_type_from_value` and
-# :func:`value_has_timezone`.  ``\d`` is any Unicode decimal digit, the
-# same set as ``str.isdecimal``, which the guards in front of them use.
-_INTEGER_TEXT_RE = re.compile(r"[+-]?\d+")
-_DECIMAL_TEXT_RES = (
-    re.compile(r"[+-]?\d*\.\d+([eE][+-]?\d+)?"),
-    re.compile(r"[+-]?\d+\.\d*([eE][+-]?\d+)?"),
+# ``\d`` below is any Unicode decimal digit (``str.isdecimal``).
+_DIGITS = r"\d(?:_?\d)*"
+_EXPONENT = rf"[eE][+-]?{_DIGITS}"
+
+#: The value-shape cascade of :func:`infer_type_from_value` as one pattern
+#: over ``"\n"``-delimited lines, each a stripped value.  A line it matches
+#: has the shape its named group names; a line it does not match is TEXT.
+#: The shapes are tried in cascade order, so a line gets the first shape
+#: that spans all of it.  ``number`` is the rest of ``float()``'s grammar
+#: (``1e5``, ``1_000``, ``nan``, ``inf``): TEXT by family, but a value with
+#: a number.  ``boolean`` spells out the case-insensitive test in ASCII
+#: classes (no other character lower-cases to one of its letters).  The
+#: lookahead skips a line holding a character no shape can match.  No
+#: shape spans a newline, and the leading ``\n`` lets a search jump from
+#: line to line.
+VALUE_SHAPES = re.compile(
+    r"\n(?=[\d+\-.:_ a-fA-FTtRrUuLlSsZiInNyY]*\n)(?:"
+    r"(?P<integer>[+-]?\d+)"
+    r"|(?P<decimal>[+-]?\d*\.\d+(?:[eE][+-]?\d+)?|[+-]?\d+\.\d*(?:[eE][+-]?\d+)?)"
+    r"|(?P<boolean>[Tt][Rr][Uu][Ee]|[Ff][Aa][Ll][Ss][Ee]|[Tt]|[Ff])"
+    r"|(?P<date>\d{4}-\d{2}-\d{2})"
+    r"|(?P<datetime>\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(?::\d{2}(?:\.\d+)?)?(?:[+-]\d{2}:?\d{2}|Z)?)"
+    r"|(?P<time>\d{2}:\d{2}(?::\d{2})?)"
+    r"|(?P<uuid>[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12})"
+    rf"|(?P<number>[+-]?(?:(?:{_DIGITS})?\.{_DIGITS}(?:{_EXPONENT})?|{_DIGITS}\.?(?:{_EXPONENT})?"
+    r"|[iI][nN][fF](?:[iI][nN][iI][tT][yY])?|[nN][aA][nN]))"
+    r")(?=\n)"
 )
-_BOOLEAN_TEXTS = frozenset(("true", "false", "t", "f"))
+#: The family of each :data:`VALUE_SHAPES` group, and of unmatched lines.
+SHAPE_FAMILIES: dict[str, TypeFamily] = {
+    "integer": TypeFamily.INTEGER,
+    "decimal": TypeFamily.APPROXIMATE_NUMERIC,
+    "boolean": TypeFamily.BOOLEAN,
+    "date": TypeFamily.DATE,
+    "datetime": TypeFamily.DATETIME,
+    "time": TypeFamily.TIME,
+    "uuid": TypeFamily.UUID,
+    "number": TypeFamily.TEXT,
+    "text": TypeFamily.TEXT,
+}
+#: The shapes whose text ``float()`` parses.
+NUMBER_SHAPES = frozenset(("integer", "decimal", "number"))
+
 _DATE_TEXT_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
-_DATETIME_TEXT_RE = re.compile(
-    r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?([+-]\d{2}:?\d{2}|Z)?"
-)
-_TIME_TEXT_RE = re.compile(r"\d{2}:\d{2}(:\d{2})?")
-_UUID_TEXT_RE = re.compile(
-    r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}"
-)
 _UTC_OFFSET_RE = re.compile(r"([+-]\d{2}:?\d{2}|Z)$")
+#: :func:`value_has_timezone` over ``"\n"``-delimited stripped values.
+TIMEZONE_LINES = re.compile(r"\n(?=\d{4}-\d{2}-\d{2})[^\n]*(?:[+-]\d{2}:?\d{2}|Z)(?=\n)")
 
 
 @dataclass(frozen=True)
@@ -232,30 +261,10 @@ def infer_type_from_value(value: object) -> TypeFamily:
     if isinstance(value, float):
         return TypeFamily.APPROXIMATE_NUMERIC
     text = str(value).strip()
-    if not text:
-        return TypeFamily.TEXT
-    # Each guard skips only patterns that cannot match: numbers start with
-    # a sign, a point or a digit; dates and times with a digit; a UUID is
-    # 36 characters; no boolean spelling is longer than five (lower-casing
-    # never shortens a string).
-    lead_digit = text[0].isdecimal()
-    if lead_digit or text[0] in "+-.":
-        if _INTEGER_TEXT_RE.fullmatch(text):
-            return TypeFamily.INTEGER
-        if "." in text and any(pattern.fullmatch(text) for pattern in _DECIMAL_TEXT_RES):
-            return TypeFamily.APPROXIMATE_NUMERIC
-    if len(text) <= 5 and text.lower() in _BOOLEAN_TEXTS:
-        return TypeFamily.BOOLEAN
-    if lead_digit:
-        if _DATE_TEXT_RE.fullmatch(text):
-            return TypeFamily.DATE
-        if _DATETIME_TEXT_RE.fullmatch(text):
-            return TypeFamily.DATETIME
-        if _TIME_TEXT_RE.fullmatch(text):
-            return TypeFamily.TIME
-    if len(text) == 36 and _UUID_TEXT_RE.fullmatch(text):
-        return TypeFamily.UUID
-    return TypeFamily.TEXT
+    if "\n" in text:
+        return TypeFamily.TEXT  # a shape spans one whole line
+    match = VALUE_SHAPES.match(f"\n{text}\n")
+    return TypeFamily.TEXT if match is None else SHAPE_FAMILIES[match.lastgroup]
 
 
 def value_has_timezone(value: object) -> bool:

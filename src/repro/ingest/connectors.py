@@ -31,8 +31,9 @@ import sqlite3
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ..catalog.ddl_builder import DDLBuilder
 from ..catalog.schema import Column, Schema, Table
@@ -515,10 +516,16 @@ class SQLiteConnector(Connector):
         try:
             if limit is not None:
                 return self._sample_rows(table, query, int(limit))
-            cursor = self._connection.execute(query)
+            cursor = self._tuples(query)
         except sqlite3.Error as error:
             raise ConnectorError(f"cannot read table {table!r}: {error}") from error
-        return [dict(row) for row in cursor.fetchall()]
+        return _dict_rows(cursor, cursor.fetchall())
+
+    def _tuples(self, query: str, parameters: "Sequence[Any]" = ()) -> sqlite3.Cursor:
+        """``query`` on a cursor that fetches plain tuples."""
+        cursor = self._connection.cursor()
+        cursor.row_factory = None
+        return cursor.execute(query, parameters)
 
     def _sample_rows(self, table: str, query: str, limit: int) -> "list[dict[str, Any]]":
         columns = {
@@ -540,21 +547,18 @@ class SQLiteConnector(Connector):
             # No rowid to pick by: stream the table once and keep the rows
             # at the seeded positions, so memory stays bounded by the sample.
             wanted = set(sample_positions(self.table_row_count(table), limit, table))
-            return [
-                dict(row)
-                for position, row in enumerate(self._connection.execute(query))
-                if position in wanted
-            ]
+            cursor = self._tuples(query)
+            return _dict_rows(
+                cursor, (row for position, row in enumerate(cursor) if position in wanted)
+            )
         picked = [rowids[i] for i in sample_positions(len(rowids), limit, table)]
         rows: "list[dict[str, Any]]" = []
         # Chunked under SQLite's smallest bound-parameter limit (999).
         for start in range(0, len(picked), 900):
             chunk = picked[start:start + 900]
             marks = ", ".join("?" * len(chunk))
-            cursor = self._connection.execute(
-                f"{query} WHERE {alias} IN ({marks}) ORDER BY {alias}", chunk
-            )
-            rows.extend(dict(row) for row in cursor)
+            cursor = self._tuples(f"{query} WHERE {alias} IN ({marks}) ORDER BY {alias}", chunk)
+            rows.extend(_dict_rows(cursor, cursor))
         return rows
 
     def table_row_count(self, table: str) -> int:
@@ -573,6 +577,13 @@ class SQLiteConnector(Connector):
     def close(self) -> None:
         if self._owns_connection:
             self._connection.close()
+
+
+def _dict_rows(cursor: sqlite3.Cursor, rows: "Iterable[tuple]") -> "list[dict[str, Any]]":
+    """``cursor``'s tuple ``rows`` as column -> value dicts, the shape
+    ``dict(sqlite3.Row)`` gives (a table's column names are unique)."""
+    names = [column[0] for column in cursor.description]
+    return list(map(dict, map(zip, repeat(names), rows)))
 
 
 #: URL schemes that name client/server engines whose drivers are not

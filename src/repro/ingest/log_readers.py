@@ -507,7 +507,8 @@ _SQL_LEADING_KEYWORDS = (
 
 
 def _read_sample(path: "str | Path") -> str:
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+    # utf-8-sig: a byte-order mark is not text of the first line.
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as handle:
         return handle.read(8192)
 
 
@@ -605,7 +606,9 @@ def read_workload_log(
             f"unknown log format {fmt!r} (expected one of {list(LOG_FORMATS)})"
         )
     budget = ErrorBudget(max_errors, strict=strict)
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+    # utf-8-sig drops a byte-order mark, which would otherwise stick to the
+    # first statement and keep it from matching its repeats.
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as handle:
         log = WorkloadLog.from_records(
             iter_log_records(handle, fmt, budget),
             source=source or str(path),

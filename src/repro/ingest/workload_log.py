@@ -95,18 +95,59 @@ class WorkloadLog:
         #: skipped while reading this log (degraded ingestion).
         self.errors: list = []
         self._entries: "dict[str, WorkloadEntry]" = {}
+        #: raw record text -> (entries it feeds, statement count); see extend
+        self._folds: "dict[str, tuple[tuple[WorkloadEntry, ...], int]]" = {}
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add(self, record: LogRecord) -> None:
         """Fold one log record in (multi-statement records are split)."""
-        if record.is_empty or record.count <= 0:
-            return
-        self.records_read += 1
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.ingest_lines.inc(outcome="folded")
+        self.extend((record,))
+
+    def extend(self, records: Iterable[LogRecord]) -> "WorkloadLog":
+        """Fold a record stream in.
+
+        Each distinct raw record text is normalised once (:meth:`_fold`) and
+        cached with the entries it feeds, so a repeat costs one dict lookup.
+        The cache holds one item per distinct raw text, so it grows with the
+        distinct statements, not the lines (whitespace variants of one
+        statement are items of their own).
+        """
+        folds = self._folds
+        folded = 0
+        try:
+            for record in records:
+                if record.count <= 0:
+                    continue
+                fold = folds.get(record.statement)
+                if fold is None:
+                    fold = folds[record.statement] = self._fold(record)
+                entries, parts = fold
+                if not parts:
+                    continue
+                folded += 1
+                # A record's duration covers the whole record; when it splits
+                # into several statements the time is spread across them, so
+                # totals never double-count.
+                part_duration = (
+                    record.duration_ms / parts if record.duration_ms is not None else None
+                )
+                for entry in entries:
+                    entry.frequency += record.count
+                    if part_duration is not None:
+                        entry.total_duration_ms += part_duration
+        finally:
+            self.records_read += folded
+            get_metrics().ingest_lines.inc(folded, outcome="folded")
+        return self
+
+    def _fold(self, record: LogRecord) -> "tuple[tuple[WorkloadEntry, ...], int]":
+        """The entries ``record``'s text feeds, one per non-empty statement
+        (created on first sight), and the number of parts it splits into;
+        ``((), 0)`` for an empty record."""
+        if record.is_empty:
+            return (), 0
         text = record.statement.strip()
         # A record holding several ;-separated statements (SQL dumps, some
         # trace formats) is split so every entry is exactly one statement —
@@ -114,12 +155,7 @@ class WorkloadLog:
         parts = [text]
         if ";" in text.rstrip().rstrip(";"):
             parts = split(text) or [text]
-        # A record's duration covers the whole record; when it splits into
-        # several statements the time is spread across them, so totals never
-        # double-count.
-        part_duration = (
-            record.duration_ms / len(parts) if record.duration_ms is not None else None
-        )
+        entries: "list[WorkloadEntry]" = []
         for part in parts:
             cleaned = part.strip().rstrip(";").strip()
             if not cleaned:
@@ -129,14 +165,8 @@ class WorkloadLog:
             if entry is None:
                 entry = WorkloadEntry(statement=cleaned, first_line=record.line)
                 self._entries[key] = entry
-            entry.frequency += record.count
-            if part_duration is not None:
-                entry.total_duration_ms += part_duration
-
-    def extend(self, records: Iterable[LogRecord]) -> "WorkloadLog":
-        for record in records:
-            self.add(record)
-        return self
+            entries.append(entry)
+        return tuple(entries), len(parts)
 
     @classmethod
     def from_records(

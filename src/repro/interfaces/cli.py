@@ -138,7 +138,8 @@ def _read_sql_files(paths: Sequence[str]) -> "tuple[list[tuple[str, str]], str |
     contents: list[tuple[str, str]] = []
     for path in paths:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            # utf-8-sig: a byte-order mark is not part of the first statement.
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 contents.append((path, handle.read()))
         except (OSError, UnicodeDecodeError) as error:
             return [], _cannot_read(path, error)

@@ -8,6 +8,7 @@ rules can be exercised in tests without standing up an engine instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..catalog.schema import Table
@@ -61,10 +62,14 @@ class DataProfiler:
             definition=definition,
         )
         for column in self._column_names(sampled, definition):
-            values = [
-                row[column] if column in row else self._value(row, column)
-                for row in sampled
-            ]
+            try:
+                values = list(map(itemgetter(column), sampled))
+            except KeyError:
+                # a row without the exact key: match it case-insensitively
+                values = [
+                    row[column] if column in row else self._value(row, column)
+                    for row in sampled
+                ]
             profile.columns[column.lower()] = profile_column(column, values, table=table_name)
         return profile
 

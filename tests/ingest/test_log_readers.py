@@ -187,6 +187,42 @@ class TestDetection:
             assert list(iter_log_records([], fmt)) == []
 
 
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file is not statement text."""
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("q.sql", "SELECT * FROM users;\nSELECT * FROM users;\n"),
+            ("q.trace", "SELECT * FROM users\nSELECT * FROM users\n"),
+        ],
+    )
+    def test_bom_log_folds_like_the_plain_file(self, tmp_path, name, text):
+        from repro.ingest import LiveScanner
+
+        plain = tmp_path / "plain" / name
+        marked = tmp_path / "marked" / name
+        for path, content in ((plain, text), (marked, BOM + text)):
+            path.parent.mkdir()
+            path.write_text(content, encoding="utf-8")
+        log = read_workload_log(marked)
+        assert [(e.statement, e.frequency) for e in log] == [("SELECT * FROM users", 2)]
+
+        def findings(path):
+            report = LiveScanner().scan(workload=path)
+            return [(d.anti_pattern, d.detection.query, d.score) for d in report]
+
+        assert findings(marked) == findings(plain) != []
+
+    def test_bom_does_not_hide_the_format(self, tmp_path):
+        path = tmp_path / "app.log"
+        path.write_text(BOM + "SELECT a FROM t\nSELECT b FROM u\n", encoding="utf-8")
+        assert detect_log_format(path) == "sqlite-trace"
+
+
 PG_STAT_CSV = """query,calls,total_exec_time,mean_exec_time
 "SELECT * FROM tenant",40,4000.0,100.0
 "SELECT name FROM questionnaire WHERE name LIKE '%x'",3,3.0,1.0

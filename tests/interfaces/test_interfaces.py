@@ -87,6 +87,25 @@ class TestCLI:
         assert code == 2
         assert output.startswith(f"error: cannot read {binary}: ")
 
+    @pytest.mark.parametrize("command", [[], ["scan", "--log"]])
+    def test_byte_order_mark_is_not_statement_text(self, tmp_path, command):
+        sql = "SELECT * FROM users;\nSELECT * FROM users;\n"
+        plain = tmp_path / "plain.sql"
+        marked = tmp_path / "marked.sql"
+        plain.write_text(sql, encoding="utf-8")
+        marked.write_text("\ufeff" + sql, encoding="utf-8")
+        reports = [
+            [
+                {key: value for key, value in detection.items() if key != "source"}
+                for detection in json.loads(
+                    run(command + [str(path), "--format", "json"])[1]
+                )["detections"]
+            ]
+            for path in (plain, marked)
+        ]
+        assert "column_wildcard" in [d["anti_pattern"] for d in reports[0]]
+        assert reports[1] == reports[0]
+
 
 class TestModuleEntryPoint:
     def test_python_m_runs_without_a_runtime_warning(self):

@@ -1,7 +1,8 @@
-"""Exactness of the one-pass column profiler.
+"""Exactness of the column profiler.
 
-``profile_column`` builds a :class:`ColumnProfile` in one pass over the
-values, with a fast path for native numbers and guarded per-value helpers.
+``profile_column`` builds a :class:`ColumnProfile` a column at a time:
+runs of native numbers through ``map``/``sum`` passes, runs of plain texts
+through one line scan, and everything else through the per-value helpers.
 Its contract is that the profile equals the one the straightforward
 seven-pass computation gives.  The ``reference_*`` functions below are that
 computation, and the helper bodies it was built on, as they stood before
@@ -10,6 +11,7 @@ the one-pass rewrite; they are kept verbatim as the oracle.
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 import statistics
 import string
@@ -20,7 +22,13 @@ from typing import Any
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.types import TypeFamily, infer_type_from_value, value_has_timezone
+from repro.catalog.types import (
+    NUMBER_SHAPES,
+    VALUE_SHAPES,
+    TypeFamily,
+    infer_type_from_value,
+    value_has_timezone,
+)
 from repro.profiler.column_profile import ColumnProfile, _as_number, profile_column
 from repro.profiler.inference import (
     _looks_like_list,
@@ -355,3 +363,126 @@ class TestHelperExactness:
         assert _canonical(detect_delimited_values(values)) == _canonical(
             reference_detect_delimited_values(values)
         )
+
+
+# ---------------------------------------------------------------------------
+# whole-column input
+# ---------------------------------------------------------------------------
+# ``profile_column`` folds runs of one type a column at a time: ``str`` runs
+# through one scan of the stripped values joined by newlines, the rest value
+# by value.  These columns hold what that split must get right and the
+# generated columns above rarely hold: newlines, the separators
+# ``\x1c``-``\x1f`` (``str.strip`` removes them, ``float()`` does not),
+# offsets overlapping a date, ``str`` subclasses, long columns, interleaved
+# types and signed-zero ties.
+
+#: Texts at the edges of the line scan.
+SCAN_EDGE_TEXTS = [
+    "a\nb", "1\n2", "12\n34", " 42\n", "\n5", "5\n\n", "\n", "2020-01-01\n+01:00",
+    "2020-01-01 x\n10:00Z", "http://x.org/a\nb.png", "a/b.png\nc", "a,\nb", "a\n,b",
+    "\x1c5", "5\x1f", "\x1d1.5\x1e", "\x1c-0.0", "\x1ftrue", "\x1c2020-01-01T10:00Z",
+    "1\x1c2", "\x1ea,b\x1e", "\x1f/srv/a.pdf",
+    "2020-01-0101", "2020-01-01-0530", "2020-01-01Z", "2020-01-01+01:00", "2020-01-01 x+0100",
+    "2020-01-01T10:00:00.5-05:30", "1_000.5_5e1_0", "1__0", "_1", "1_", "1e", "e5", ".e1",
+    "1.2.3", "iNfInItY", "+nan", "-inf", "infinit", "nanx", "\u0661_\u0662", "\x85 7 \x85",
+    "\xa05", "-0.0", "0.0", "-0", "+0.", "t", "F", "TRUE", "fAlSe", "tru", "\u212a", "\u0131nf",
+    "C000123", "deadbeef-dead-beef-dead-beefdeadbeef", "12:30:00", "2026-01-01 10:00:00",
+]
+
+
+class Text(str):
+    """A ``str`` subclass with the value as its text."""
+
+
+class Shouting(str):
+    """A ``str`` subclass whose ``str()`` differs from the value."""
+
+    def __str__(self) -> str:
+        return self.upper()
+
+
+_interleaved = st.sampled_from(
+    [1, 2.5, True, False, "3", "x", "t", "1e5", "2020-01-01", -0.0, 0.0, "-0.0", "0.0",
+     Text("7"), Text("a,b"), Shouting("t"), "a\nb", "\x1c5", None, float("nan")]
+)
+
+
+def _assert_exact(values) -> None:
+    assert _outcome(profile_column, values) == _outcome(reference_profile_column, values)
+
+
+class TestWholeColumnExactness:
+    def test_scan_edge_texts(self):
+        for values in (
+            SCAN_EDGE_TEXTS,
+            SCAN_EDGE_TEXTS[::-1],
+            SCAN_EDGE_TEXTS + EDGE_TEXTS,
+            [text for text in SCAN_EDGE_TEXTS if "\n" not in text],
+        ):
+            _assert_exact(values)
+        for text in SCAN_EDGE_TEXTS:
+            _assert_exact([text])
+            _assert_exact([text, "abc", text])
+            _check_helpers(text)
+
+    def test_separator_padding_has_a_family_but_no_number(self):
+        values = ["\x1c5", "6", "7"]
+        profile = profile_column("c", values)
+        assert profile.family_counts == {TypeFamily.INTEGER: 3}
+        assert profile.mean == 6.5
+        _assert_exact(values)
+
+    def test_date_prefix_overlapping_an_offset_has_a_timezone(self):
+        values = ["2020-01-0101", "2020-01-01", "x"]
+        assert profile_column("c", values).timezone_fraction == 1 / 3
+        _assert_exact(values)
+
+    def test_str_subclasses(self):
+        for values in (
+            [Text("5"), "5", Text("a,b"), "a,b", Text("2020-01-01Z")],
+            ["5", Text("5"), Shouting("t"), "t", Shouting("a.png")],
+            [Shouting("x")] * 3 + ["y"] * 3,
+        ):
+            _assert_exact(values)
+
+    def test_signed_zero_ties(self):
+        for values in (
+            [0.0, -0.0], [-0.0, 0.0], ["-0.0", "0.0"], ["0.0", "-0.0"], [0, -0.0],
+            [-0.0, 0], ["-0", 0.0], [0.0, "-0.0", -0.0], ["\x1c-0.0", "0.0", "-0.0"],
+            [-0.0, "0", 0.0, "-0.0"],
+        ):
+            _assert_exact(values)
+
+    @_SETTINGS
+    @given(st.lists(_interleaved, max_size=60))
+    def test_interleaved_types_keep_first_seen_order(self, values):
+        _assert_exact(values)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.lists(_values | _interleaved | st.sampled_from(SCAN_EDGE_TEXTS), min_size=1, max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_thousand_value_columns(self, pool, seed):
+        rng = random.Random(seed)
+        values = [pool[rng.randrange(len(pool))] for _ in range(1000)]
+        if seed % 2:
+            # long runs of one type, each in value order
+            values.sort(key=lambda value: type(value).__name__)
+        _assert_exact(values)
+
+
+@_SETTINGS
+@given(st.text(alphabet="0123456789_.eE+-iInNfFtTyYaA\u0661\u0663 :", max_size=12))
+def test_number_shapes_are_what_float_parses(text):
+    """The line scan takes ``float()`` of every value of a number shape and
+    of no other, so the shapes must be exactly ``float()``'s grammar."""
+    text = text.strip()
+    match = VALUE_SHAPES.match(f"\n{text}\n")
+    try:
+        float(text)
+    except ValueError:
+        parses = False
+    else:
+        parses = True
+    assert (match is not None and match.lastgroup in NUMBER_SHAPES) is parses
