@@ -1,20 +1,19 @@
 """Corpus-scale detection throughput (PR 1 acceptance benchmark).
 
-Measures statements/sec of ap-detect over a synthetic ~5k-statement
-duplicate-heavy corpus (≥30% exact duplicates, modelling the literal-only
-repetition that dominates the paper's 174k-statement GitHub corpus) along
-three paths:
+Measures statements/sec of ap-detect's batch path, ``detect_batch``, over
+a synthetic ~5k-statement duplicate-heavy corpus (≥30% exact duplicates,
+modelling the literal-only repetition that dominates the paper's
+174k-statement GitHub corpus) in three states:
 
 * **cold** — caching disabled: every statement is parsed, annotated, and
   dispatched from scratch (the seed's behaviour);
-* **warm** — annotation cache + detection memo populated by a first pass;
-* **parallel** — ``detect_batch`` with 4 workers (the batch pipeline; on a
-  single-CPU container it degrades to the serial cache-accelerated path and
-  the win comes from the caches and the rule-dispatch index).
+* **cached first pass** — a fresh detector with its caches on: repeats
+  within the corpus hit the annotation cache and the detection memo;
+* **warm** — a second pass over the caches the first pass filled.
 
 Results are written to ``BENCH_pr1.json`` (only under
-``pytest --write-bench``).  Acceptance: warm ≥ 3× cold,
-parallel batch ≥ 1.5× cold, and every path byte-identical to the cold path.
+``pytest --write-bench``).  Acceptance: warm ≥ 3× cold, the fresh cached
+batch ≥ 1.5× cold, and every state byte-identical to the cold path.
 """
 from __future__ import annotations
 
@@ -32,17 +31,16 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pr1.json"
 #: ~2.8k unique statements, padded to ~5.1k with 45% exact duplicates.
 CORPUS_REPOS = 340
 DUPLICATE_FRACTION = 0.45
-PARALLEL_WORKERS = 4
 
 
-def _timed_batch(detector: APDetector, sql: list[str], workers: int = 1):
+def _timed_batch(detector: APDetector, sql: list[str]):
     start = time.perf_counter()
-    report, stats = detector.detect_batch(sql, workers=workers)
+    report, stats = detector.detect_batch(sql)
     return time.perf_counter() - start, report, stats
 
 
 def _measure(sql: list[str]):
-    """One full measurement round: cold, cached-first, warm, parallel."""
+    """One full measurement round: cold, cached first pass, warm."""
     # Cold path: the seed's behaviour — no caches anywhere.
     cold_seconds, cold_report, _ = _timed_batch(
         APDetector(DetectorConfig(enable_cache=False)), sql
@@ -52,15 +50,10 @@ def _measure(sql: list[str]):
     cached_detector = APDetector(DetectorConfig(enable_cache=True))
     first_seconds, first_report, first_stats = _timed_batch(cached_detector, sql)
     warm_seconds, warm_report, warm_stats = _timed_batch(cached_detector, sql)
-    # Parallel batch path: fresh caches, 4 workers.
-    parallel_seconds, parallel_report, parallel_stats = _timed_batch(
-        APDetector(DetectorConfig(enable_cache=True)), sql, workers=PARALLEL_WORKERS
-    )
     return (
         cold_seconds, cold_report,
         first_seconds, first_report, first_stats,
         warm_seconds, warm_report, warm_stats,
-        parallel_seconds, parallel_report, parallel_stats,
     )
 
 
@@ -79,28 +72,24 @@ def test_corpus_throughput_cold_warm_parallel(write_bench):
             cold_seconds, cold_report,
             first_seconds, first_report, first_stats,
             warm_seconds, warm_report, warm_stats,
-            parallel_seconds, parallel_report, parallel_stats,
         ) = _measure(sql)
-        if cold_seconds / warm_seconds >= 3.0 and cold_seconds / parallel_seconds >= 1.5:
+        if cold_seconds / warm_seconds >= 3.0 and cold_seconds / first_seconds >= 1.5:
             break
 
     # Correctness before speed: every path must agree with the cold path.
     cold_payload = [d.to_dict() for d in cold_report]
     assert [d.to_dict() for d in first_report] == cold_payload
     assert [d.to_dict() for d in warm_report] == cold_payload
-    assert [d.to_dict() for d in parallel_report] == cold_payload
 
     n = len(sql)
     warm_speedup = cold_seconds / warm_seconds
-    parallel_speedup = cold_seconds / parallel_seconds
+    batch_speedup = cold_seconds / first_seconds
     rows = [
         ("cold (no caches)", f"{cold_seconds:.2f}", f"{n / cold_seconds:.0f}", "1.00"),
         ("cached first pass", f"{first_seconds:.2f}", f"{n / first_seconds:.0f}",
-         f"{cold_seconds / first_seconds:.2f}"),
+         f"{batch_speedup:.2f}"),
         ("warm (2nd pass)", f"{warm_seconds:.2f}", f"{n / warm_seconds:.0f}",
          f"{warm_speedup:.2f}"),
-        (f"parallel batch (w={PARALLEL_WORKERS})", f"{parallel_seconds:.2f}",
-         f"{n / parallel_seconds:.0f}", f"{parallel_speedup:.2f}"),
     ]
     print_table(
         f"Corpus throughput — {n} statements, {duplicate_fraction:.0%} duplicates",
@@ -130,20 +119,13 @@ def test_corpus_throughput_cold_warm_parallel(write_bench):
             "annotation_cache_hit_rate": round(warm_stats.annotation_cache_hit_rate, 4),
             "memo_hit_rate": round(warm_stats.memo_hit_rate, 4),
         },
-        "parallel": {
-            "seconds": round(parallel_seconds, 4),
-            "statements_per_second": round(n / parallel_seconds, 1),
-            "workers": PARALLEL_WORKERS,
-            "mode": parallel_stats.parallel_mode,
-        },
         "speedups": {
             "warm_vs_cold": round(warm_speedup, 2),
-            "cached_first_pass_vs_cold": round(cold_seconds / first_seconds, 2),
-            "parallel_vs_cold": round(parallel_speedup, 2),
+            "cached_first_pass_vs_cold": round(batch_speedup, 2),
         },
         "results_identical_to_cold_path": True,
     }
     write_bench(BENCH_PATH, payload)
 
     assert warm_speedup >= 3.0, f"warm cache speedup {warm_speedup:.2f}x < 3x"
-    assert parallel_speedup >= 1.5, f"parallel batch speedup {parallel_speedup:.2f}x < 1.5x"
+    assert batch_speedup >= 1.5, f"cached batch speedup {batch_speedup:.2f}x < 1.5x"

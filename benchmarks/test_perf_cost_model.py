@@ -114,10 +114,10 @@ def _measure_pg_stat_reader() -> dict:
 
 
 def _measure_multicore(sql: "list[str]") -> dict:
-    """Re-measure the process-pool paths with the core count on record."""
+    """Re-measure the batch paths with the core count on record."""
     detector = APDetector(DetectorConfig(enable_cache=True))
     start = time.perf_counter()
-    _, stats = detector.detect_batch(sql, workers=4)
+    _, stats = detector.detect_batch(sql)
     batch_seconds = time.perf_counter() - start
     corpora = {f"repo_{i}": sql[i::8] for i in range(8)}
     toolchain = SQLCheck()

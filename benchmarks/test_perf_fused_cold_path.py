@@ -6,11 +6,8 @@ trigger-token pre-filter, with workload facts computed once per run.  The
 run is **cold** (``enable_cache=False``): no annotation cache, no
 detection memo, so it measures the matcher itself.
 
-Also measured: ``detect_batch`` pool scaling with the fingerprint-sharded
-fan-out, at 1 and 4 requested workers.  On a single-CPU container the pool
-honestly degrades to the serial path and records that in
-``parallel_mode`` — ``cpu_count`` lands in the payload so readers can
-interpret the numbers.
+Also measured: the cold batch path, ``detect_batch``, which must return
+the bytes ``detect`` does.
 
 Results are written to ``BENCH_pr7.json`` (only under
 ``pytest --write-bench``).  Acceptance: byte-identical detections on every
@@ -40,7 +37,6 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pr7.json"
 #: on the paper's duplicate-heavy 174k-statement GitHub corpus.
 CORPUS_REPOS = 680
 DUPLICATE_FRACTION = 0.45
-POOL_WORKERS = 4
 
 
 def _timed_detect(config: DetectorConfig, sql: list[str]):
@@ -49,9 +45,9 @@ def _timed_detect(config: DetectorConfig, sql: list[str]):
     return time.perf_counter() - start, report
 
 
-def _timed_batch(config: DetectorConfig, sql: list[str], workers: int):
+def _timed_batch(config: DetectorConfig, sql: list[str]):
     start = time.perf_counter()
-    report, stats = APDetector(config).detect_batch(sql, workers=workers)
+    report, stats = APDetector(config).detect_batch(sql)
     return time.perf_counter() - start, report, stats
 
 
@@ -64,25 +60,16 @@ def test_fused_cold_path_throughput(write_bench):
     cold_seconds, cold_report = _timed_detect(DetectorConfig(enable_cache=False), sql)
     cold_payload = [d.to_dict() for d in cold_report]
 
-    # Pool scaling (sharded fan-out).  On a 1-CPU container
-    # resolve_workers degrades both runs to serial — the mode strings and
-    # cpu_count in the payload keep the numbers honest.
-    serial_seconds, serial_report, serial_stats = _timed_batch(
-        DetectorConfig(enable_cache=False), sql, workers=1
+    batch_seconds, batch_report, batch_stats = _timed_batch(
+        DetectorConfig(enable_cache=False), sql
     )
-    pool_seconds, pool_report, pool_stats = _timed_batch(
-        DetectorConfig(enable_cache=False), sql, workers=POOL_WORKERS
-    )
-    assert [d.to_dict() for d in serial_report] == cold_payload
-    assert [d.to_dict() for d in pool_report] == cold_payload
+    assert [d.to_dict() for d in batch_report] == cold_payload
 
     n = len(sql)
     rows = [
         ("detect (cold)", f"{cold_seconds:.2f}", f"{n / cold_seconds:.0f}"),
-        (f"batch (w=1, {serial_stats.parallel_mode})",
-         f"{serial_seconds:.2f}", f"{n / serial_seconds:.0f}"),
-        (f"batch (w={POOL_WORKERS}, {pool_stats.parallel_mode})",
-         f"{pool_seconds:.2f}", f"{n / pool_seconds:.0f}"),
+        (f"batch ({batch_stats.parallel_mode})",
+         f"{batch_seconds:.2f}", f"{n / batch_seconds:.0f}"),
     ]
     print_table(
         f"Cold path — {n} statements ({len(base)} unique)",
@@ -101,16 +88,10 @@ def test_fused_cold_path_throughput(write_bench):
             "statements_per_second": round(n / cold_seconds, 1),
         },
         "fused_batch_workers_1": {
-            "seconds": round(serial_seconds, 4),
-            "statements_per_second": round(n / serial_seconds, 1),
-            "mode": serial_stats.parallel_mode,
-            "workers": serial_stats.workers,
-        },
-        "fused_batch_workers_4": {
-            "seconds": round(pool_seconds, 4),
-            "statements_per_second": round(n / pool_seconds, 1),
-            "mode": pool_stats.parallel_mode,
-            "workers": pool_stats.workers,
+            "seconds": round(batch_seconds, 4),
+            "statements_per_second": round(n / batch_seconds, 1),
+            "mode": batch_stats.parallel_mode,
+            "workers": batch_stats.workers,
         },
     }
     write_bench(BENCH_PATH, payload)

@@ -171,8 +171,7 @@ class ContextBuilder:
         Positions (offset/line/length) are cleared only on statements we
         parsed from *list elements* of strings: those were parsed one by
         one, so their offsets are element-relative, not positions in any
-        containing file (the pool path clears them the same way in
-        ``pipeline._rebind_indexes``).  A single text parsed as one script
+        containing file.  A single text parsed as one script
         keeps its valid anchors, and caller-supplied ParsedStatement /
         QueryAnnotation objects keep whatever positions the caller parsed.
         """

@@ -29,6 +29,7 @@ from ..detector.pipeline import (
     REASON_SINGLE_CORPUS,
     REASON_SINGLE_CPU,
     REASON_SMALL_INPUT,
+    REASON_TRACED,
     PipelineStats,
     resolve_workers,
     serial_mode,
@@ -302,13 +303,16 @@ class SQLCheck:
             )
             report = self.check_context(context, stats=stats)
             stats.total_seconds = now() - start
-        observe_stage_seconds(stats)
         return report
 
     def check_context(
         self, context: ApplicationContext, stats: PipelineStats | None = None
     ) -> SQLCheckReport:
-        """Run the full pipeline over a pre-built application context."""
+        """Run the full pipeline over a pre-built application context.
+
+        Every run that reaches here (``check``, ``scan``, ``stream`` and
+        direct calls) folds its stage timings into the metrics registry once.
+        """
         stats = stats if stats is not None else PipelineStats()
         tracer = get_tracer()
         # Shared boundary timestamps: detect + rank + fix equals the elapsed
@@ -367,6 +371,7 @@ class SQLCheck:
         stats.statements = detection_report.queries_analyzed
         if stats.total_seconds == 0.0:
             stats.total_seconds = stats.stage_seconds_sum()
+        observe_stage_seconds(stats)
         return SQLCheckReport(
             detections=ranked,
             fixes=fixes,
@@ -390,8 +395,9 @@ class SQLCheck:
         (inter-query rules never see across corpus boundaries), so corpora
         fan out over a process pool when enough work and CPUs are available;
         otherwise they run serially in-process, sharing this toolchain's
-        warm caches.  Per-corpus reports are identical to calling
-        :meth:`check` directly.  Duplicate source labels are kept as
+        warm caches.  While the tracer is on they always run in-process, so
+        the trace holds every corpus.  Per-corpus reports are identical to
+        calling :meth:`check` directly.  Duplicate source labels are kept as
         distinct corpora under suffixed keys (``label#2``, ...).
         """
         items = self._unique_labels(
@@ -405,11 +411,17 @@ class SQLCheck:
             queries.count(";") + 1 if isinstance(queries, str) else len(queries)
             for _, queries in items
         )
+        traced = get_tracer().enabled
         batch = BatchReport()
         batch.stats.workers = effective
         batch.stats.corpora = len(items)
         start = now()
-        if effective > 1 and len(items) > 1 and total_statements >= MIN_PARALLEL_STATEMENTS:
+        if (
+            effective > 1
+            and len(items) > 1
+            and total_statements >= MIN_PARALLEL_STATEMENTS
+            and not traced
+        ):
             try:
                 with ProcessPoolExecutor(
                     max_workers=min(effective, len(items)),
@@ -418,6 +430,10 @@ class SQLCheck:
                 ) as pool:
                     for source, report in pool.map(_batch_worker_check, items):
                         batch.reports[source] = report
+                # Workers observed into their own registries; only the stage
+                # series reach this process, through the returned stats.
+                for report in batch.reports.values():
+                    observe_stage_seconds(report.stats)
                 batch.stats.parallel_mode = MODE_PROCESS_POOL
                 # Worker stage times ran concurrently; their merged sum is
                 # CPU-aggregate, not wall-clock.
@@ -434,6 +450,8 @@ class SQLCheck:
                 reason = REASON_SINGLE_CPU
             elif len(items) <= 1:
                 reason = REASON_SINGLE_CORPUS
+            elif traced:
+                reason = REASON_TRACED
             else:
                 reason = REASON_SMALL_INPUT
             batch.stats.parallel_mode = serial_mode(requested, reason)

@@ -10,8 +10,8 @@ Corpus-scale additions: statement-level results are memoized by exact
 statement text under a memo scope (registry content digest, thresholds,
 analysis flags, dialect and, with inter-query analysis on, the workload),
 so repeated statements are detected once and replayed cheaply, and
-:meth:`detect_batch` runs the parse stage over a process pool and reports
-per-stage timings in a :class:`PipelineStats`.
+:meth:`detect_batch` reports per-stage timings in a :class:`PipelineStats`
+and replays a whole clean run from the persistent store.
 """
 from __future__ import annotations
 
@@ -36,14 +36,7 @@ from ..rules.registry import RuleRegistry, default_registry
 from ..rules.thresholds import Thresholds
 from ..sqlparser import AnnotationCache, ParsedStatement, QueryAnnotation
 from ..sqlparser.dialects import Dialect
-from .pipeline import (
-    DEFAULT_CHUNK_SIZE,
-    MODE_PERSISTENT_REPLAY,
-    MODE_PROCESS_POOL,
-    PipelineStats,
-    parallel_annotate,
-    resolve_workers,
-)
+from .pipeline import MODE_PERSISTENT_REPLAY, PipelineStats
 
 
 @dataclass
@@ -57,9 +50,10 @@ class DetectorConfig:
     removes false positives when more context is available.
 
     ``enable_cache`` / ``cache_size`` control the annotation cache and the
-    per-statement detection memo; ``workers`` is the default fan-out of
-    :meth:`APDetector.detect_batch`.  No setting changes which rules run on
-    a statement: those its type's compiled trigger automaton selects.
+    per-statement detection memo; ``workers`` is the default corpus fan-out
+    of :meth:`~repro.core.sqlcheck.SQLCheck.check_many`.  No setting
+    changes which rules run on a statement: those its type's compiled
+    trigger automaton selects.
 
     Attributes:
         enable_inter_query: apply contextual (whole-workload) refinements.
@@ -72,14 +66,14 @@ class DetectorConfig:
         sample_size: rows sampled per table by the data profiler.
         enable_cache: annotation cache + detection memo on/off.
         cache_size: LRU capacity (entries) of each cache.
-        workers: default process fan-out of the batch APIs.
+        workers: default process fan-out of ``SQLCheck.check_many``.
         quarantine: isolate per-statement parse failures and per-rule
             check failures as structured :class:`~repro.errors.PipelineError`
             records on the report instead of aborting the run.  Off, any
             rule or parser exception propagates (fail-fast).
         persistent_memo_path: path of a SQLite file mirroring the warm
             state (annotation templates, detection memo, whole-corpus
-            replays) across process restarts and ``detect_batch`` workers.
+            replays) across process restarts.
             Keys embed the registry content digest, thresholds, and
             analysis flags, so rule or configuration changes invalidate
             cleanly back to the cold path; a corrupt or stale file is
@@ -106,7 +100,7 @@ class APDetector:
 
     Entry points: :meth:`detect` (queries + optional live database →
     :class:`~repro.model.detection.DetectionReport`), :meth:`detect_batch`
-    (flat statement list with process-pool parse fan-out and
+    (statement list or script → report and
     :class:`~repro.detector.pipeline.PipelineStats`), :meth:`stream`
     (yield detections as statements are analysed), and
     :meth:`detect_in_context` for a pre-built application context.
@@ -206,28 +200,20 @@ class APDetector:
 
     def detect_batch(
         self,
-        queries: "Sequence[str]",
+        queries: "Sequence[str] | str",
         *,
-        workers: int | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         source: str | None = None,
     ) -> "tuple[DetectionReport, PipelineStats]":
-        """Corpus-scale detection over a flat statement list.
+        """Corpus-scale detection over a statement list or one script.
 
-        The parse + annotate stage fans out over a process pool when enough
-        statements and CPUs are available (falling back to the serial,
-        cache-accelerated path otherwise); detection then streams through
-        the shared context so inter-query rules see the whole workload.
-        Returns the report together with per-stage :class:`PipelineStats`.
+        Parses through the context builder's cached path, as :meth:`detect`
+        does, then detects over the whole workload so inter-query rules see
+        every statement.  Returns the report together with per-stage
+        :class:`PipelineStats`.
         """
-        requested = workers if workers is not None else self.config.workers
-        # stats.workers reports what actually ran; the parallel_mode string
-        # explains any downgrade from the requested fan-out.
-        stats = PipelineStats(workers=resolve_workers(requested))
-        queries = list(queries)
-        cache = self.annotation_cache
-        cache_hits0 = cache.stats.hits if cache is not None else 0
-        cache_miss0 = cache.stats.misses if cache is not None else 0
+        if not isinstance(queries, str):
+            queries = list(queries)
+        stats = PipelineStats()
         tracer = get_tracer()
 
         # Whole-corpus replay: when a prior clean run of this exact input
@@ -241,53 +227,17 @@ class APDetector:
             if replayed is not None:
                 return replayed, stats
 
-        # Stage boundaries share one timestamp each so every moment between
-        # start and t3 lands in exactly one stage: total ≡ sum of stages
-        # (the accounting invariant the conformance oracle checks) on the
-        # pool path and on every serial fallback alike.
-        # A statement the parser rejects fails only its own pool chunk;
-        # parallel_annotate re-runs just that chunk through this serial
-        # fallback — where the quarantine sink (when enabled) records the
-        # failure and keeps the rest — and the remaining chunks keep their
-        # pool results (parallel_mode records the partial downgrade).
-        parse_errors: "list[PipelineError]" = []
-        sink = parse_errors if self.config.quarantine else None
-        with tracer.span("detect_batch", statements=len(queries)):
+        with tracer.span("detect_batch") as batch_span:
             start = now()
-            with tracer.span("stage:parse") as parse_span:
-                annotations, chunks, mode, worker_spans = parallel_annotate(
-                    queries,
-                    workers=requested,
-                    source=source,
-                    chunk_size=chunk_size,
-                    serial_fallback=lambda batch, start_index=0: self._builder._annotate_queries(
-                        list(batch), source, errors=sink, start_index=start_index
-                    ),
-                    trace=tracer.enabled,
-                )
-                if worker_spans:
-                    # Worker chunk timings, re-parented under this parse span
-                    # (the workers cannot share this tracer across the pool).
-                    tracer.adopt(worker_spans, parent=parse_span)
-            t1 = now()
-            stats.parse_seconds = t1 - start
-            if not mode.startswith(MODE_PROCESS_POOL):
-                stats.workers = 1
-            with tracer.span("stage:context"):
-                context = ApplicationContext(
-                    queries=annotations,
-                    schema=self._builder._build_schema(annotations, None),
-                    profiles={},
-                    database=None,
-                    dialect=self._builder.dialect,
-                    source=source,
-                    errors=parse_errors,
-                )
+            # The builder times parse and context with shared boundary
+            # timestamps; detect starts where it stopped, so total ≡ sum of
+            # stages (the accounting invariant the conformance oracle checks).
+            context = self._builder.build(
+                queries, source=source, stats=stats, quarantine=self.config.quarantine
+            )
+            if batch_span is not None:
+                batch_span.attributes["statements"] = len(context.queries)
             t2 = now()
-            stats.context_seconds = t2 - t1
-            stats.chunks = chunks
-            stats.parallel_mode = mode
-
             with tracer.span("stage:detect"):
                 report = self.detect_in_context(context, stats=stats)
             t3 = now()
@@ -312,9 +262,6 @@ class APDetector:
                 },
             )
             self.persistent.flush()
-        if cache is not None:
-            stats.annotation_cache_hits += cache.stats.hits - cache_hits0
-            stats.annotation_cache_misses += cache.stats.misses - cache_miss0
         observe_stage_seconds(stats)
         return report, stats
 
@@ -525,19 +472,24 @@ class APDetector:
     # ------------------------------------------------------------------
     # whole-corpus replay (persistent store only)
     # ------------------------------------------------------------------
-    def _corpus_key(self, queries: "Sequence[str]", source: "str | None") -> "str | None":
+    def _corpus_key(
+        self, queries: "Sequence[str] | str", source: "str | None"
+    ) -> "str | None":
         """Digest identifying one ``detect_batch`` input for whole-run replay.
 
-        ``None`` unless a persistent store is attached (or when the input
-        is not a flat text list).  Any rule, threshold, flag, dialect,
-        source, or input change produces a different key, so stale entries
-        are never matched — they just age out of the store.
+        ``None`` unless a persistent store is attached (or when a list
+        element is not a text).  A script is keyed as one text, apart from
+        the list holding it: its statements keep their positions.  Any rule,
+        threshold, flag, dialect, source, or input change produces a
+        different key, so stale entries are never matched — they just age
+        out of the store.
         """
         if self.persistent is None:
             return None
         cfg = self.config
+        script = isinstance(queries, str)
         digest = hashlib.blake2b(digest_size=16)
-        digest.update(b"corpus\x00")
+        digest.update(b"script\x00" if script else b"corpus\x00")
         digest.update(self.registry.content_digest)
         digest.update(repr(dataclasses.astuple(cfg.thresholds)).encode())
         digest.update(
@@ -545,7 +497,7 @@ class APDetector:
             f"{cfg.confidence_threshold!r}|{cfg.deduplicate}|{cfg.quarantine}|"
             f"{self._builder.dialect.name}|{source!r}".encode("utf-8", "replace")
         )
-        for text in queries:
+        for text in (queries,) if script else queries:
             if not isinstance(text, str):
                 return None
             digest.update(text.encode("utf-8", "replace"))
@@ -574,8 +526,6 @@ class APDetector:
             end = now()
         stats.statements = cached["queries_analyzed"]
         stats.memo_hits = cached["queries_analyzed"]
-        stats.workers = 1
-        stats.chunks = 1
         stats.parallel_mode = MODE_PERSISTENT_REPLAY
         # Everything that elapsed was the replay lookup; attribute it all to
         # the detect stage so total ≡ sum-of-stages (the stats-accounting

@@ -1,45 +1,29 @@
-"""Corpus-scale batch pipeline: chunking, parallel parsing, stage timing.
+"""Pipeline accounting shared by the batch entry points.
 
 The evaluation workloads run ap-detect over hundreds of thousands of
-statements (§8.1's GitHub corpus).  This module provides the throughput
-machinery shared by :meth:`APDetector.detect_batch` and
-:meth:`SQLCheck.check_many`:
+statements (§8.1's GitHub corpus).  :meth:`APDetector.detect_batch` parses
+them through the context builder's cached path, like every other entry
+point; :meth:`SQLCheck.check_many` fans independent corpora out over a
+process pool.  This module holds what both report:
 
 * :class:`PipelineStats` — per-stage wall-clock timings (``parse``,
-  ``detect``, ``rank``, ``fix``), cache hit rates, and worker/chunk counts,
-  surfaced through the CLI (``--stats``), the REST API, and the workload
-  drivers;
-* :func:`chunked` — deterministic statement chunking;
-* :func:`parallel_annotate` — fan-out of cold parses over a
-  ``concurrent.futures`` process pool.  Statements are sharded by a stable
-  hash of their text so duplicate statements always land in the same
-  worker, which parses each distinct text once and rebinds copies for the
-  repeats — no worker ever duplicates another worker's parse work.  A
-  chunk whose worker fails is re-run alone through the serial quarantine
-  path (the other chunks keep their pool results); the whole fan-out
-  falls back to the serial (cache-accelerated) path only for small
-  inputs, single-CPU machines, or executor-level failure.
+  ``context``, ``detect``, ``rank``, ``fix``), cache hit rates, and the
+  worker count and ``parallel_mode`` of a run, surfaced through the CLI
+  (``--stats``), the REST API, and the workload drivers;
+* :func:`resolve_workers` and the ``parallel_mode`` vocabulary of
+  ``check_many``'s corpus pool.
 """
 from __future__ import annotations
 
-import copy
 import os
-import time
-import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
 
-from ..sqlparser import QueryAnnotation, annotate, parse
-
-T = TypeVar("T")
+# Unused here: perfbench/tracing.py wraps ``pipeline.parse``/``annotate`` by name.
+from ..sqlparser import annotate, parse  # noqa: F401
 
 #: Below this many statements the process-pool fan-out is never worth the
 #: spawn + pickle overhead; the serial path is used instead.
 MIN_PARALLEL_STATEMENTS = 64
-
-#: Default number of statements handed to one worker task.
-DEFAULT_CHUNK_SIZE = 256
 
 #: ``PipelineStats.parallel_mode`` vocabulary — shared by every batch entry
 #: point (detect_batch, check_many) so the surfaced strings cannot diverge.
@@ -52,6 +36,8 @@ REASON_SINGLE_CPU = "single-cpu"
 REASON_SMALL_INPUT = "small-input"
 REASON_SINGLE_CORPUS = "single-corpus"
 REASON_EXECUTOR_ERROR = "executor-error"
+#: the tracer was on: one process gives one trace, so corpora run in-process.
+REASON_TRACED = "traced"
 
 
 def serial_mode(requested_workers: int, reason: str) -> str:
@@ -98,7 +84,6 @@ class PipelineStats:
     fix_seconds: float = 0.0
     total_seconds: float = 0.0
     workers: int = 1
-    chunks: int = 1
     parallel_mode: str = "serial"
     annotation_cache_hits: int = 0
     annotation_cache_misses: int = 0
@@ -150,8 +135,8 @@ class PipelineStats:
 
     def merge(self, other: "PipelineStats") -> "PipelineStats":
         """Accumulate another run's stats into this one (stage times and
-        corpus counts add; worker/chunk counts take the maximum; totals are
-        the caller's).  Merging runs whose ``parallel_mode`` or
+        corpus counts add; worker counts take the maximum; totals are the
+        caller's).  Merging runs whose ``parallel_mode`` or
         ``stage_semantics`` differ marks the field ``mixed(...)`` instead of
         silently keeping the left side's label."""
         self.statements += other.statements
@@ -161,7 +146,6 @@ class PipelineStats:
         self.rank_seconds += other.rank_seconds
         self.fix_seconds += other.fix_seconds
         self.workers = max(self.workers, other.workers)
-        self.chunks = max(self.chunks, other.chunks)
         self.parallel_mode = merged_label(self.parallel_mode, other.parallel_mode)
         self.stage_semantics = merged_label(self.stage_semantics, other.stage_semantics)
         self.annotation_cache_hits += other.annotation_cache_hits
@@ -186,7 +170,6 @@ class PipelineStats:
             "total_seconds": round(self.total_seconds, 6),
             "stage_semantics": self.stage_semantics,
             "workers": self.workers,
-            "chunks": self.chunks,
             "parallel_mode": self.parallel_mode,
             "corpora": self.corpora,
             "annotation_cache": {
@@ -204,17 +187,10 @@ class PipelineStats:
         }
 
 
-def chunked(items: Sequence[T], size: int) -> list[Sequence[T]]:
-    """Split ``items`` into consecutive chunks of at most ``size``."""
-    if size <= 0:
-        raise ValueError("chunk size must be positive")
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 def resolve_workers(requested: int) -> int:
     """Clamp a requested worker count to the CPUs actually available.
 
-    Oversubscribing a CPU-bound parse stage only adds scheduling and pickle
+    Oversubscribing CPU-bound corpus checks only adds scheduling and pickle
     overhead, so a single-CPU container always degrades to the serial path.
     """
     if requested <= 1:
@@ -224,173 +200,3 @@ def resolve_workers(requested: int) -> int:
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         available = os.cpu_count() or 1
     return max(1, min(requested, available))
-
-
-def _annotate_chunk(payload: "tuple[Sequence[str], str | None]") -> list[QueryAnnotation]:
-    """Process-pool worker: parse + annotate one chunk of SQL strings.
-
-    Statement indexes are chunk-local; the parent rebinds them after the
-    gather so results are identical to the serial path.
-    """
-    sqls, source = payload
-    annotations: list[QueryAnnotation] = []
-    for sql in sqls:
-        for statement in parse(sql, source=source):
-            annotations.append(annotate(statement))
-    return annotations
-
-
-def _shard_of(sql: str, shard_count: int) -> int:
-    """Stable shard assignment by statement text.
-
-    ``zlib.crc32`` (not ``hash``, which is randomised per process) keys the
-    shard, so every occurrence of a duplicate text lands in the same worker
-    and the corpus's parse work is never repeated across the pool.
-    """
-    return zlib.crc32(sql.encode("utf-8", "replace")) % shard_count
-
-
-def _annotate_shard(
-    payload: "tuple[Sequence[tuple[int, str]], str | None, bool]",
-) -> "tuple[list[tuple[int, list[QueryAnnotation]]], list[dict]]":
-    """Process-pool worker: parse + annotate one shard of (position, sql).
-
-    Sharding colocates duplicate texts, so each distinct text is parsed
-    once; repeats are shallow-copied and rebound (the same template idiom
-    the annotation cache uses), which keeps every returned element's
-    statement object independently mutable for the parent's index rebind.
-    Returns ``(position, annotations)`` pairs so the parent can reassemble
-    the corpus in its original order, plus span payloads for
-    :meth:`repro.obs.Tracer.adopt` when ``trace`` is set.  The payloads are
-    anchored by one wall-clock timestamp because ``perf_counter`` epochs
-    are arbitrary per process — this is the sanctioned raw
-    ``time.perf_counter`` scope outside ``repro.obs`` (the parent tracer
-    object cannot cross the pickle boundary).
-    """
-    pairs, source, trace = payload
-    span_payloads: "list[dict]" = []
-    wall_start = time.time() if trace else 0.0
-    t0 = time.perf_counter() if trace else 0.0
-    parsed: "dict[str, list[QueryAnnotation]]" = {}
-    out: "list[tuple[int, list[QueryAnnotation]]]" = []
-    for position, sql in pairs:
-        template = parsed.get(sql)
-        if template is None:
-            annotations = [annotate(s) for s in parse(sql, source=source)]
-            parsed[sql] = annotations
-        else:
-            annotations = []
-            for cached in template:
-                statement = copy.copy(cached.statement)
-                annotation = copy.copy(cached)
-                annotation.statement = statement
-                annotations.append(annotation)
-        out.append((position, annotations))
-    if trace:
-        span_payloads.append(
-            {
-                "name": "chunk",
-                "wall_start": wall_start,
-                "duration": time.perf_counter() - t0,
-                "attributes": {
-                    "statements": len(pairs),
-                    "distinct": len(parsed),
-                    "pid": os.getpid(),
-                },
-            }
-        )
-    return out, span_payloads
-
-
-def parallel_annotate(
-    queries: Sequence[str],
-    *,
-    workers: int,
-    source: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    serial_fallback: "Callable[..., list[QueryAnnotation]] | None" = None,
-    trace: bool = False,
-) -> "tuple[list[QueryAnnotation], int, str, list[dict]]":
-    """Annotate a statement list, fanning cold parses over a process pool.
-
-    Statements are sharded by :func:`_shard_of` (stable text hash), so the
-    pool never duplicates parse work on corpora with repeated statements.
-    Returns ``(annotations, chunks, mode, span_payloads)`` where ``mode``
-    records the path taken: ``process-pool``,
-    ``process-pool:chunks-recovered=N`` when N failed chunks were
-    individually re-run through the serial quarantine path (the other
-    chunks keep their pool results), or one of the serial fallbacks.
-    ``span_payloads`` — populated only when ``trace`` is set and the pool
-    actually ran — are worker chunk timings for
-    :meth:`repro.obs.Tracer.adopt`.  ``serial_fallback`` takes
-    ``(batch, start_index=0)`` — ``start_index`` is the corpus position of
-    the batch's first element, so quarantined error records carry
-    corpus-wide provenance.  Statement indexes are rebound to corpus
-    order, so the output is identical to the serial path regardless of
-    sharding.
-    """
-    effective = resolve_workers(workers)
-    serial = serial_fallback or (
-        lambda batch, start_index=0: _annotate_chunk((batch, source))
-    )
-    if effective <= 1 or len(queries) < MIN_PARALLEL_STATEMENTS:
-        reason = REASON_SINGLE_CPU if workers > 1 and effective <= 1 else REASON_SMALL_INPUT
-        annotations = serial(queries)
-        _rebind_indexes(annotations)
-        return annotations, 1, serial_mode(workers, reason), []
-    # At least one shard per worker; never hand one worker the whole input.
-    chunk_size = max(1, min(chunk_size, -(-len(queries) // effective)))
-    shard_count = max(effective, -(-len(queries) // chunk_size))
-    shards: "list[list[tuple[int, str]]]" = [[] for _ in range(shard_count)]
-    for position, sql in enumerate(queries):
-        shards[_shard_of(sql, shard_count)].append((position, sql))
-    shards = [shard for shard in shards if shard]
-    recovered = 0
-    results_by_position: "dict[int, list[QueryAnnotation]]" = {}
-    span_payloads: "list[dict]" = []
-    try:
-        with ProcessPoolExecutor(max_workers=effective) as pool:
-            futures = [
-                pool.submit(_annotate_shard, (shard, source, trace)) for shard in shards
-            ]
-            for shard, future in zip(shards, futures):
-                try:
-                    shard_results, shard_spans = future.result()
-                    for position, annotations in shard_results:
-                        results_by_position[position] = annotations
-                    span_payloads.extend(shard_spans)
-                except Exception:
-                    # One bad statement fails only its own chunk: re-run
-                    # just this chunk element-by-element through the serial
-                    # quarantine path so the failure is recorded (with its
-                    # corpus position) and the chunk-mates — and every
-                    # other chunk's pool results — survive.
-                    recovered += 1
-                    for position, sql in shard:
-                        results_by_position[position] = serial(
-                            [sql], start_index=position
-                        )
-    except Exception:  # pool unavailable (sandboxing, pickling) -> stay correct
-        annotations = serial(queries)
-        _rebind_indexes(annotations)
-        return annotations, 1, serial_mode(workers, REASON_EXECUTOR_ERROR), []
-    annotations = [
-        annotation
-        for position in range(len(queries))
-        for annotation in results_by_position.get(position, ())
-    ]
-    _rebind_indexes(annotations)
-    mode = MODE_PROCESS_POOL
-    if recovered:
-        mode = f"{MODE_PROCESS_POOL}:chunks-recovered={recovered}"
-    return annotations, len(shards), mode, span_payloads
-
-
-def _rebind_indexes(annotations: Iterable[QueryAnnotation]) -> None:
-    for index, annotation in enumerate(annotations):
-        annotation.statement.index = index
-        # Batch inputs are flat statement lists: each element was parsed on
-        # its own, so its offset/line are element-relative, not positions in
-        # any containing file — clear them (ContextBuilder does the same for
-        # its list inputs) so every batch path stays byte-identical.
-        annotation.statement.clear_position()

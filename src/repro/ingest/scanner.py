@@ -29,7 +29,7 @@ from ..context.application_context import ApplicationContext
 from ..core.sqlcheck import SQLCheck, SQLCheckOptions, SQLCheckReport
 from ..detector.pipeline import PipelineStats
 from ..errors import CODE_CIRCUIT_OPEN, CODE_SOURCE_UNAVAILABLE, PipelineError
-from ..obs import get_tracer, now, observe_stage_seconds
+from ..obs import get_tracer, now
 from .connectors import CircuitOpenError, Connector, ConnectorError, connect
 from .log_readers import read_workload_log
 from .workload_log import WorkloadLog, statement_key
@@ -168,51 +168,55 @@ class LiveScanner:
                 # the context so every report surface can account for them.
                 context.errors.extend(log.errors)
             if connector is not None:
-                t_live = now()
-                # An unusable database input fails hard here (nothing to
-                # degrade to); only *later* source loss degrades the scan.
-                live_schema = connector.schema()
-                excluded = {name.lower() for name in exclude_tables}
-                if excluded and any(name in live_schema.tables for name in excluded):
-                    # Copy-on-exclude: the connector's cached schema object must
-                    # stay intact for later scans through the same connector.
-                    trimmed = Schema()
-                    for table in live_schema.tables.values():
-                        if table.name.lower() not in excluded:
-                            trimmed.add_table(table)
-                    live_schema = trimmed
-                # The live catalog is authoritative when connected (Algorithm 1
-                # prefers it over DDL found in the workload).
-                if live_schema.tables or not context.schema.tables:
-                    context.schema = live_schema
-                try:
-                    context.profiles = connector.profiles(builder.profiler, exclude=excluded)
-                    context.database = connector
-                except ConnectorError as error:
-                    if not quarantine or strict:
-                        raise
-                    # The source died between introspection and profiling: keep
-                    # the catalog, skip data analysis, record the loss.
-                    context.profiles = {}
-                    context.errors.append(
-                        PipelineError.from_exception(
-                            "ingest",
-                            error,
-                            code=(
-                                CODE_CIRCUIT_OPEN
-                                if isinstance(error, CircuitOpenError)
-                                else CODE_SOURCE_UNAVAILABLE
-                            ),
-                            source=connector.name,
-                            detail={"verdict": "skipped: source unavailable"},
+                # Introspection and profiling are context work: one
+                # stage:context span holds them and the connector:* calls.
+                with tracer.span("stage:context"):
+                    t_live = now()
+                    # An unusable database input fails hard here (nothing to
+                    # degrade to); only *later* source loss degrades the scan.
+                    live_schema = connector.schema()
+                    excluded = {name.lower() for name in exclude_tables}
+                    if excluded and any(name in live_schema.tables for name in excluded):
+                        # Copy-on-exclude: the connector's cached schema object
+                        # must stay intact for later scans through it.
+                        trimmed = Schema()
+                        for table in live_schema.tables.values():
+                            if table.name.lower() not in excluded:
+                                trimmed.add_table(table)
+                        live_schema = trimmed
+                    # The live catalog is authoritative when connected
+                    # (Algorithm 1 prefers it over DDL found in the workload).
+                    if live_schema.tables or not context.schema.tables:
+                        context.schema = live_schema
+                    try:
+                        context.profiles = connector.profiles(
+                            builder.profiler, exclude=excluded
                         )
-                    )
-                stats.context_seconds += now() - t_live
+                        context.database = connector
+                    except ConnectorError as error:
+                        if not quarantine or strict:
+                            raise
+                        # The source died between introspection and profiling:
+                        # keep the catalog, skip data analysis, record the loss.
+                        context.profiles = {}
+                        context.errors.append(
+                            PipelineError.from_exception(
+                                "ingest",
+                                error,
+                                code=(
+                                    CODE_CIRCUIT_OPEN
+                                    if isinstance(error, CircuitOpenError)
+                                    else CODE_SOURCE_UNAVAILABLE
+                                ),
+                                source=connector.name,
+                                detail={"verdict": "skipped: source unavailable"},
+                            )
+                        )
+                    stats.context_seconds += now() - t_live
             if log is not None:
                 assign_frequencies(context, log)
             report = toolchain.check_context(context, stats=stats)
             stats.total_seconds = now() - start
-        observe_stage_seconds(stats)
         return report
 
     def stream(
@@ -254,23 +258,19 @@ class LiveScanner:
         *,
         log_format: "str | None" = None,
         chunk_size: int = DEFAULT_STREAM_CHUNK,
-        workers: "int | None" = None,
         source: "str | None" = None,
     ):
         """Detection-only streaming through :meth:`APDetector.detect_batch`.
 
         Yields ``(DetectionReport, PipelineStats)`` per chunk — the raw
-        corpus-scale path (no ranking or fixes), with the batch pipeline's
-        process-pool parse fan-out available via ``workers``.
+        corpus-scale path, with no ranking or fixes.
         """
         log = _coerce_workload(workload, log_format)
         if log is None:
             raise ConnectorError("stream_detect needs a workload log")
         label = source or log.source
         for piece in log.slices(chunk_size):
-            yield self.toolchain.detector.detect_batch(
-                piece.statements(), workers=workers, source=label
-            )
+            yield self.toolchain.detector.detect_batch(piece.statements(), source=label)
 
 
 def scan(

@@ -161,7 +161,6 @@ def build_selftest_parser() -> argparse.ArgumentParser:
         "--statements", type=int, default=250,
         help="approximate fuzzed corpus size when no files are given",
     )
-    parser.add_argument("--workers", type=int, default=2, help="workers for the batch oracle")
     parser.add_argument(
         "--update-golden", action="store_true",
         help="regenerate tests/conformance/golden/*.jsonl from the current rules",
@@ -533,7 +532,6 @@ def run_selftest_command(argv: Sequence[str]) -> tuple[int, str]:
         corpus,
         seed=args.seed,
         statements=args.statements,
-        workers=args.workers,
         update_golden=args.update_golden,
         golden_dir=args.golden_dir,
     )

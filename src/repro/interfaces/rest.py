@@ -28,8 +28,8 @@ by the standard library's ``http.server``:
   meaningful cap and never means "unlimited");
 * ``POST /api/selftest`` — runs the conformance testkit (rule examples,
   golden corpus, differential oracles) in-process and returns the suite
-  verdict with per-oracle results; body ``{"seed": N, "statements": N,
-  "workers": N}`` (all optional);
+  verdict with per-oracle results; body ``{"seed": N, "statements": N}``
+  (both optional);
 * ``GET  /api/rules`` — the registered rule catalog with each rule's
   structured :class:`~repro.rules.base.RuleDoc`;
 * ``GET  /api/antipatterns`` — the supported anti-pattern catalog;
@@ -519,18 +519,13 @@ def handle_selftest_request(
     try:
         seed = int(payload.get("seed", 2020))
         statements = int(payload.get("statements", 120))
-        workers = int(payload.get("workers", 1))
     except (TypeError, ValueError):
-        return 400, _error("'seed', 'statements', and 'workers' must be integers")
+        return 400, _error("'seed' and 'statements' must be integers")
     if statements < 1 or statements > MAX_SELFTEST_STATEMENTS:
         return 400, _error(
             f"'statements' must be between 1 and {MAX_SELFTEST_STATEMENTS}"
         )
-    if workers < 1:
-        return 400, _error("'workers' must be a positive integer")
-    result = run_selftest(
-        None, seed=seed, statements=statements, workers=workers, update_golden=False
-    )
+    result = run_selftest(None, seed=seed, statements=statements, update_golden=False)
     return 200, result.to_dict()
 
 

@@ -3,11 +3,10 @@
 The telemetry subsystem behind the ROADMAP's always-on-fleet north star:
 
 * :mod:`repro.obs.trace` — hierarchical spans (run → stage → per-rule /
-  per-connector-call / per-chunk) with a no-op fast path, JSONL export
-  (``sqlcheck ... --trace FILE``), and cross-process span adoption for the
-  batch pool; also home of :data:`now`, the one sanctioned monotonic clock
-  (``tests/conformance/test_timing_hygiene.py`` forbids raw
-  ``time.perf_counter()`` elsewhere);
+  per-connector-call) with a no-op fast path and JSONL export
+  (``sqlcheck ... --trace FILE``); also home of :data:`now`, the one
+  sanctioned monotonic clock (``tests/conformance/test_timing_hygiene.py``
+  forbids raw ``time.perf_counter()`` elsewhere);
 * :mod:`repro.obs.metrics` — the process-wide registry of counters,
   gauges, and fixed-bucket histograms instrumenting the hot paths
   (caches, pre-filter, per-rule latency, quarantine, connectors,

@@ -293,7 +293,7 @@ class MetricsRegistry:
             "Entries resident in the detection memo after the last run.",
         )
         # persistent memo: the SQLite-backed warm state shared across
-        # restarts and detect_batch workers
+        # restarts and check_many workers
         self.persistent_memo_lookups = self.counter(
             f"{NAMESPACE}_persistent_memo_lookups_total",
             "Persistent-memo lookups by layer (memo/annotations/corpus) "
@@ -441,8 +441,9 @@ def observe_stage_seconds(stats) -> None:
     """Fold one run's ``PipelineStats`` stage timings into the registry.
 
     Duck-typed (this module cannot import the detector); call once per
-    completed run — the batch entry points do, nested per-corpus calls
-    record their own runs.
+    completed run.  ``SQLCheck.check_context`` and ``APDetector.detect_batch``
+    do, and a pooled ``check_many`` folds each worker's returned stats in
+    the parent.
     """
     registry = _REGISTRY
     if not registry.enabled:

@@ -1,4 +1,4 @@
-"""Hierarchical tracing: run → stage → per-rule / per-connector / per-chunk.
+"""Hierarchical tracing: run → stage → per-rule / per-connector call.
 
 A zero-dependency tracer with a no-op fast path.  Spans form a tree via
 ``parent_id``; the current parent is tracked per thread, so nesting works
@@ -7,22 +7,18 @@ without threading span objects through every call signature.  Disabled
 ``record()`` returns immediately — the hot paths additionally guard on
 ``tracer.enabled`` so they skip clock reads entirely.
 
-Cross-process spans: process-pool workers cannot share this tracer (or a
-``perf_counter`` epoch — it is arbitrary per process), so they measure
-chunk durations with ``perf_counter`` and anchor them with one wall-clock
-timestamp; :meth:`Tracer.adopt` maps those payloads onto the parent's
-timeline and re-parents them under the batch's parse-stage span.
+Spans live in one process: while the tracer is on, ``check_many`` skips
+its corpus pool, so every span of a traced run is recorded here.
 
 ``now`` is the one sanctioned monotonic clock for pipeline timing — the
-timing-hygiene conformance test forbids raw ``time.perf_counter()`` calls
-outside this package (and the process-pool worker in
-``detector/pipeline.py``), so all new timing flows through here.
+timing-hygiene conformance test forbids raw clock reads outside this
+package, so all new timing flows through here.
 """
 from __future__ import annotations
 
 import json
 import time
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 #: the sanctioned monotonic clock (see module docstring).
 now = time.perf_counter
@@ -114,9 +110,7 @@ class Tracer:
     """Collects one process's spans; export as JSONL via :meth:`export`.
 
     Span times are seconds relative to the tracer's epoch (set at
-    construction and on :meth:`reset`).  The epoch is captured on both the
-    monotonic and the wall clock so worker-process payloads — which can
-    only be anchored by wall time — land on the same timeline.
+    construction and on :meth:`reset`).
     """
 
     def __init__(self, *, enabled: bool = False, max_spans: int = DEFAULT_MAX_SPANS):
@@ -130,7 +124,6 @@ class Tracer:
         # False on the server path unless a caller opts in).
         self._stack: "list[Span]" = []
         self._epoch_perf = now()
-        self._epoch_wall = time.time()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -149,7 +142,6 @@ class Tracer:
         self.dropped = 0
         self._next_id = 1
         self._epoch_perf = now()
-        self._epoch_wall = time.time()
 
     # ------------------------------------------------------------------
     # span creation
@@ -191,39 +183,6 @@ class Tracer:
         )
         self._append(span)
         return span
-
-    def adopt(
-        self,
-        payloads: "Iterable[Mapping[str, Any]]",
-        *,
-        parent: "Span | None" = None,
-    ) -> "list[Span]":
-        """Re-parent worker-process span payloads under ``parent``.
-
-        Each payload is ``{"name", "wall_start", "duration", "attributes"}``
-        (see ``pipeline._annotate_shard``): the worker's wall-clock anchor
-        maps the span onto this tracer's timeline, its ``perf_counter``
-        duration keeps the width accurate.
-        """
-        if not self.enabled:
-            return []
-        if parent is None and self._stack:
-            parent = self._stack[-1]
-        adopted: "list[Span]" = []
-        for payload in payloads:
-            start = float(payload.get("wall_start", self._epoch_wall)) - self._epoch_wall
-            duration = max(0.0, float(payload.get("duration", 0.0)))
-            span = Span(
-                str(payload.get("name", "chunk")),
-                self._allocate_id(),
-                parent.span_id if parent is not None else None,
-                start,
-                start + duration,
-                dict(payload.get("attributes") or {}),
-            )
-            self._append(span)
-            adopted.append(span)
-        return adopted
 
     def current(self) -> "Span | None":
         return self._stack[-1] if self._stack else None

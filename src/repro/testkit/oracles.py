@@ -108,7 +108,6 @@ def check_cold_warm_batch(
     corpus: "Sequence[str]",
     *,
     config: DetectorConfig | None = None,
-    workers: int = 2,
 ) -> "list[OracleFailure]":
     """Cold path ≡ warm cache ≡ batch pipeline, byte for byte."""
     corpus = list(corpus)
@@ -137,7 +136,7 @@ def check_cold_warm_batch(
             "second pass over an identical corpus produced no memo hits"))
 
     batch_detector = APDetector(_dc.replace(base, enable_cache=True))
-    batch_report, stats = batch_detector.detect_batch(corpus, workers=workers)
+    batch_report, stats = batch_detector.detect_batch(corpus)
     if detection_bytes(batch_report) != cold:
         failures.append(OracleFailure(
             "cold-warm-batch", "detect_batch",
@@ -766,7 +765,6 @@ def check_observability_transparency(
     *,
     seed: int = 2020,
     statements: int = 60,
-    workers: int = 2,
     config: DetectorConfig | None = None,
 ) -> "list[OracleFailure]":
     """Observability on ≡ observability off, byte for byte.
@@ -800,9 +798,8 @@ def check_observability_transparency(
     tracer = get_tracer()
 
     def run_once() -> "tuple[bytes, bytes]":
-        batch_report, _stats = APDetector(_dc.replace(base, enable_cache=True)).detect_batch(
-            corpus, workers=workers
-        )
+        batch_detector = APDetector(_dc.replace(base, enable_cache=True))
+        batch_report, _stats = batch_detector.detect_batch(corpus)
         full = SQLCheck(SQLCheckOptions(detector=base)).check(corpus)
         return detection_bytes(batch_report), ranking_bytes(full.detections)
 
@@ -941,7 +938,7 @@ def check_service_equivalence(
             base, enable_cache=True, persistent_memo_path=memo_path
         )
         cold_detector = APDetector(persistent)
-        cold_report, _cold_stats = cold_detector.detect_batch(corpus, workers=2)
+        cold_report, _cold_stats = cold_detector.detect_batch(corpus)
         cold = detection_bytes(cold_report)
         cold_detector.close()
         if detection_bytes(APDetector(base).detect(corpus)) != cold:
@@ -950,7 +947,7 @@ def check_service_equivalence(
                 "enabling the persistent memo changed a cold run's detections"))
 
         warm_detector = APDetector(persistent)
-        warm_report, warm_stats = warm_detector.detect_batch(corpus, workers=2)
+        warm_report, warm_stats = warm_detector.detect_batch(corpus)
         warm_detector.close()
         if detection_bytes(warm_report) != cold:
             failures.append(OracleFailure(
@@ -965,9 +962,7 @@ def check_service_equivalence(
         with open(memo_path, "wb") as handle:
             handle.write(b"this is not a sqlite database")
         recovered_detector = APDetector(persistent)
-        recovered, recovered_stats = recovered_detector.detect_batch(
-            corpus, workers=2
-        )
+        recovered, recovered_stats = recovered_detector.detect_batch(corpus)
         recovered_detector.close()
         if detection_bytes(recovered) != cold:
             failures.append(OracleFailure(

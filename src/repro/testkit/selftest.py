@@ -121,7 +121,6 @@ def run_selftest(
     *,
     seed: int = 2020,
     statements: int = 250,
-    workers: int = 2,
     update_golden: bool = False,
     golden_dir: "str | Path | None" = None,
     config: DetectorConfig | None = None,
@@ -181,9 +180,7 @@ def run_selftest(
         corpus = CorpusGenerator(seed).corpus_sql(statements)
     corpus = list(corpus)
     result.corpus_statements = len(corpus)
-    result.oracle_failures.extend(
-        check_cold_warm_batch(corpus, config=config, workers=workers)
-    )
+    result.oracle_failures.extend(check_cold_warm_batch(corpus, config=config))
 
     # 4. detector vs. dbdeo agreement on the shared subset
     dbdeo_failures, result.dbdeo_agreement = check_dbdeo_agreement(seed=seed, config=config)
@@ -217,9 +214,7 @@ def run_selftest(
     #    detection or ranking byte, and the instrumented runs must actually
     #    record timings/spans (no vacuous pass).
     result.oracle_failures.extend(
-        check_observability_transparency(
-            corpus, seed=seed, workers=workers, config=config
-        )
+        check_observability_transparency(corpus, seed=seed, config=config)
     )
 
     # 10. service equivalence: detections served over a live keep-alive

@@ -70,14 +70,9 @@ class TestStatsAccounting:
     """Satellite: totals ≡ sum of stages, including the serial fallback."""
 
     def test_detect_batch_totals_equal_stage_sum(self, fuzzed_corpus):
-        for workers in (1, 4):
-            _, stats = APDetector(DetectorConfig()).detect_batch(fuzzed_corpus, workers=workers)
-            failures = check_stats_accounting(stats, subject=f"detect_batch(workers={workers})")
-            assert not failures, "\n".join(str(f) for f in failures)
-
-    def test_serial_fallback_is_exercised_or_pool_runs(self, fuzzed_corpus):
-        _, stats = APDetector(DetectorConfig()).detect_batch(fuzzed_corpus, workers=4)
-        assert stats.parallel_mode.startswith(("serial", "process-pool"))
+        _, stats = APDetector(DetectorConfig()).detect_batch(fuzzed_corpus)
+        failures = check_stats_accounting(stats, subject="detect_batch")
+        assert not failures, "\n".join(str(f) for f in failures)
         assert stats.statements == len(fuzzed_corpus)
 
     def test_check_pipeline_totals_equal_stage_sum(self):

@@ -31,8 +31,6 @@ ALLOWED_BROAD_CATCHES = {
     # detector: per-rule and per-data-rule quarantine
     ("detector/detector.py", "_iter_detections"),
     ("detector/detector.py", "_detect_statement"),
-    # batch pipeline: process-pool unavailability degrades to serial
-    ("detector/pipeline.py", "parallel_annotate"),
     # core: rank/fix quarantine and the batch pool fallback
     ("core/sqlcheck.py", "check_context"),
     ("core/sqlcheck.py", "check_many"),

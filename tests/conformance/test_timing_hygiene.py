@@ -8,12 +8,7 @@ This test walks the ``src/`` AST and fails on any raw
 outside the sanctioned sites, so new timing code is forced through
 ``obs`` where it stays swappable and trace-consistent.
 
-Sanctioned sites:
-
-* everything under ``obs/`` — the clock's home;
-* ``detector/pipeline.py::_annotate_shard`` — the process-pool worker,
-  which cannot share the parent's tracer epoch and must measure chunk
-  durations locally (anchored by wall time for ``Tracer.adopt``).
+The one sanctioned site is everything under ``obs/`` — the clock's home.
 """
 import ast
 from pathlib import Path
@@ -21,11 +16,9 @@ from pathlib import Path
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: (module path relative to src/repro, enclosing function) pairs allowed
-#: to call time.perf_counter() directly.  Everything under obs/ is exempt
-#: wholesale — see the module docstring.
-ALLOWED_PERF_COUNTER_SITES = {
-    ("detector/pipeline.py", "_annotate_shard"),
-}
+#: to call time.perf_counter() directly: none.  Everything under obs/ is
+#: exempt wholesale — see the module docstring.
+ALLOWED_PERF_COUNTER_SITES: "set[tuple[str, str]]" = set()
 
 
 def _is_exempt_module(module: str) -> bool:
@@ -69,8 +62,7 @@ def test_raw_perf_counter_only_at_sanctioned_sites():
                 offenders.append(f"{module}:{lineno} in {function}()")
     assert offenders == [], (
         "raw time.perf_counter() outside repro.obs: use `from repro.obs "
-        f"import now` instead (offenders: {offenders}); only the process-"
-        "pool worker in detector/pipeline.py may read the clock directly"
+        f"import now` instead (offenders: {offenders})"
     )
 
 

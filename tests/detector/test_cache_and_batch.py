@@ -16,6 +16,7 @@ from repro.rules.query_rules import ColumnWildcardRule
 from repro.rules.registry import default_registry
 from repro.rules.thresholds import Thresholds
 from repro.sqlparser import fingerprint
+from repro.testkit import CorpusGenerator, detection_bytes
 from repro.workloads.github_corpus import GitHubCorpusGenerator, with_duplicates
 
 
@@ -151,7 +152,7 @@ class TestBatchPipeline:
     def test_detect_batch_matches_detect(self):
         sql = _duplicate_heavy_sql(repos=6)
         baseline = APDetector(DetectorConfig(enable_cache=False)).detect(sql)
-        report, stats = APDetector(DetectorConfig()).detect_batch(sql, workers=4)
+        report, stats = APDetector(DetectorConfig()).detect_batch(sql)
         assert _report_payload(baseline) == _report_payload(report)
         assert stats.statements == len(sql)
         assert stats.parse_seconds > 0
@@ -172,6 +173,56 @@ class TestBatchPipeline:
             batch_payload.pop("stats")
             direct_payload.pop("stats")
             assert batch_payload == direct_payload
+
+    SCRIPT = "SELECT * FROM t; SELECT a FROM u WHERE b LIKE '%x%'"
+
+    def test_detect_batch_takes_a_script_whole(self, tmp_path):
+        # A script is one text, as detect() parses it — not a list of characters.
+        cold = APDetector(DetectorConfig()).detect(self.SCRIPT)
+        report, stats = APDetector(DetectorConfig()).detect_batch(self.SCRIPT)
+        assert report.queries_analyzed == stats.statements == 2
+        assert {d.anti_pattern for d in report.detections} == {
+            AntiPattern.COLUMN_WILDCARD,
+            AntiPattern.MULTI_VALUED_ATTRIBUTE,
+            AntiPattern.PATTERN_MATCHING,
+        }
+        assert detection_bytes(report) == detection_bytes(cold)
+
+        # The persistent corpus replay keys the script as one text, apart
+        # from a one-element list holding it (whose positions are cleared).
+        persistent = DetectorConfig(persistent_memo_path=str(tmp_path / "memo.sqlite"))
+        for expected_mode in ("serial", "persistent-replay"):
+            detector = APDetector(persistent)
+            report, stats = detector.detect_batch(self.SCRIPT)
+            detector.close()
+            assert stats.parallel_mode == expected_mode
+            assert detection_bytes(report) == detection_bytes(cold)
+        detector = APDetector(persistent)
+        listed, stats = detector.detect_batch([self.SCRIPT])
+        detector.close()
+        assert stats.parallel_mode == "serial"
+        expected = APDetector(DetectorConfig()).detect([self.SCRIPT])
+        assert detection_bytes(listed) == detection_bytes(expected)
+
+    def test_detect_batch_parses_each_distinct_text_once(self, monkeypatch):
+        from repro.context import builder as builder_module
+
+        parsed = []
+        real_parse = builder_module.parse
+
+        def counted(text, *args, **kwargs):
+            parsed.append(text)
+            return real_parse(text, *args, **kwargs)
+
+        monkeypatch.setattr(builder_module, "parse", counted)
+        corpus = CorpusGenerator(3).corpus_sql(2000)
+        detector = APDetector(DetectorConfig())
+        report, _ = detector.detect_batch(corpus)
+        assert report.queries_analyzed == len(corpus) == 2276
+        assert len(parsed) == len(set(corpus)) == 2209
+        parsed.clear()
+        detector.detect_batch(corpus)
+        assert parsed == []
 
     def test_stream_yields_detections(self):
         detections = list(APDetector(DetectorConfig()).stream(["SELECT * FROM t"]))

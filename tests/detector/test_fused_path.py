@@ -1,4 +1,4 @@
-"""PR 7 regression locks: fused matcher, quarantine/memo parity, sharded fan-out.
+"""PR 7 regression locks: fused matcher, quarantine/memo parity, batch positions.
 
 Four contracts pinned here:
 
@@ -10,17 +10,15 @@ Four contracts pinned here:
 * with ``enable_inter_query=False`` the detection memo is workload-scoped
   no more: identical statements replay across *different* workloads, while
   inter-query configurations stay workload-bound;
-* a poisoned statement in the process-pool fan-out fails only its own
-  chunk — the run stays on the pool, the bad statement is quarantined with
-  its corpus position, and every other statement keeps its pool result.
+* ``detect_batch`` keeps corpus positions: a poisoned statement is
+  quarantined with its corpus index while the rest analyse, and repeated
+  texts replayed from the caches keep their own indexes.
 """
 from __future__ import annotations
 
 import pytest
 
 from repro.detector import APDetector, DetectorConfig
-from repro.detector import detector as detector_module
-from repro.detector import pipeline as pipeline_module
 from repro.errors import CODE_PARSE_ERROR, CODE_RULE_ERROR
 from repro.model.antipatterns import AntiPattern
 from repro.obs import get_metrics, set_metrics_enabled
@@ -188,47 +186,32 @@ class TestMemoScope:
 
 
 class TestShardedFanOut:
+    """``detect_batch`` keeps corpus positions on its one (builder) parse path."""
+
     def test_poisoned_chunk_recovers_without_abandoning_the_pool(self, monkeypatch):
         from repro.context import builder as builder_module
 
-        # Let the pool run on a single-CPU container (the detector and the
-        # pipeline each import resolve_workers directly), and poison one
-        # statement in both the worker parser and the serial fallback.
-        for module in (pipeline_module, detector_module):
-            monkeypatch.setattr(
-                module, "resolve_workers", lambda requested: min(requested, 2)
-            )
-        _poison_annotate(monkeypatch, pipeline_module)
         _poison_annotate(monkeypatch, builder_module)
-
         corpus = [f"SELECT c{i} FROM t{i} WHERE c{i} = {i}" for i in range(80)]
         poison_position = 37
         corpus[poison_position] = f"SELECT x FROM {POISON}"
 
-        report, stats = APDetector(DetectorConfig(enable_cache=False)).detect_batch(
-            corpus, workers=2
-        )
-        assert stats.parallel_mode == "process-pool:chunks-recovered=1"
-        assert stats.workers == 2
-        (error,) = report.errors
-        assert error.code == CODE_PARSE_ERROR
-        assert error.statement_index == poison_position
-        assert report.queries_analyzed == len(corpus) - 1
-        # The degraded pool run matches the serial quarantined run exactly.
-        serial = APDetector(DetectorConfig(enable_cache=False)).detect(corpus)
-        assert detection_bytes(report) == detection_bytes(serial)
+        for config in (DetectorConfig(), DetectorConfig(enable_cache=False)):
+            report, stats = APDetector(config).detect_batch(corpus)
+            (error,) = report.errors
+            assert error.code == CODE_PARSE_ERROR
+            assert error.statement_index == poison_position
+            assert report.queries_analyzed == stats.statements == len(corpus) - 1
+            # The quarantined batch run matches the quarantined detect run.
+            serial = APDetector(config).detect(corpus)
+            assert detection_bytes(report) == detection_bytes(serial)
 
-    def test_duplicates_shard_together_and_keep_their_indexes(self, monkeypatch):
-        for module in (pipeline_module, detector_module):
-            monkeypatch.setattr(
-                module, "resolve_workers", lambda requested: min(requested, 2)
-            )
+    def test_duplicates_shard_together_and_keep_their_indexes(self):
         base = [f"SELECT c{i} FROM t{i}" for i in range(64)]
         corpus = base + ["SELECT * FROM orders"] * 8
-        report, stats = APDetector(DetectorConfig(enable_cache=False)).detect_batch(
-            corpus, workers=2
-        )
-        assert stats.parallel_mode == "process-pool"
+        # Cached: the seven repeats replay the parse and detection templates.
+        report, stats = APDetector(DetectorConfig()).detect_batch(corpus)
+        assert stats.memo_hits == 7
         wildcard_indexes = sorted(
             d.query_index
             for d in report.detections

@@ -150,7 +150,7 @@ class TestStatsCarryErrors:
         config = DetectorConfig(enable_cache=False)
         crashing = CrashingRule()
         detector = APDetector(config, registry=_chaos_registry(crashing))
-        report, stats = detector.detect_batch(WORKLOAD, workers=1)
+        report, stats = detector.detect_batch(WORKLOAD)
         assert len(report.errors) == len(WORKLOAD)
         assert stats.errors == report.errors
         assert stats.to_dict()["degraded"] is True

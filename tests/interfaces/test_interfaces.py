@@ -545,7 +545,7 @@ class TestRestCostModelAndUpload:
 
 class TestRestSelftest:
     def test_selftest_endpoint_returns_verdict_and_oracles(self):
-        status, body = handle_selftest_request({"statements": 8, "workers": 1})
+        status, body = handle_selftest_request({"statements": 8})
         assert status == 200
         assert body["ok"] is True
         assert body["examples_run"] > 0
@@ -558,11 +558,9 @@ class TestRestSelftest:
         assert status == 400
         status, body = handle_selftest_request({"statements": 0})
         assert status == 400
-        status, body = handle_selftest_request({"statements": 10, "workers": 0})
-        assert status == 400
 
     def test_selftest_over_http(self):
-        request_body = json.dumps({"statements": 5, "workers": 1}).encode()
+        request_body = json.dumps({"statements": 5}).encode()
         with RestServer(port=0) as server:
             request = urllib.request.Request(
                 f"{server.url}/api/selftest",

@@ -2,12 +2,9 @@
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
-from repro.detector import detector as detector_module
-from repro.detector import pipeline as pipeline_module
 from repro.detector.detector import APDetector, DetectorConfig
 from repro.obs import get_tracer, now
 from repro.obs.trace import DEFAULT_MAX_SPANS, SCHEMA_VERSION, Tracer
@@ -35,7 +32,6 @@ class TestTracerCore:
         with cold.span("run", source="x") as span:
             assert span is None
         assert cold.record("stage", now(), now()) is None
-        assert cold.adopt([{"name": "chunk"}]) == []
         assert cold.spans() == []
 
     def test_nested_spans_form_a_tree(self, tracer):
@@ -58,17 +54,6 @@ class TestTracerCore:
         assert ranked.parent_id == run.span_id
         assert ranked.attributes == {"items": 3}
         assert ranked.duration >= 0
-
-    def test_adopt_maps_worker_payloads_onto_the_timeline(self, tracer):
-        with tracer.span("stage:parse") as parse:
-            adopted = tracer.adopt([
-                {"name": "chunk", "wall_start": time.time(), "duration": 0.25,
-                 "attributes": {"statements": 40, "pid": 123}},
-            ])
-        (chunk,) = adopted
-        assert chunk.parent_id == parse.span_id
-        assert chunk.duration == pytest.approx(0.25)
-        assert chunk.attributes["statements"] == 40
 
     def test_exception_inside_span_is_annotated_and_propagates(self, tracer):
         with pytest.raises(RuntimeError):
@@ -133,7 +118,7 @@ class TestPipelineSpanTrees:
 
     def test_serial_detect_batch_nests_stages_and_rules(self, process_tracer):
         corpus = CorpusGenerator(11).corpus_sql(20)
-        report, stats = APDetector(DetectorConfig()).detect_batch(corpus, workers=1)
+        report, stats = APDetector(DetectorConfig()).detect_batch(corpus)
         assert stats.parallel_mode == "serial"
         spans, by_id = self._span_tree(process_tracer)
         names = [s.name for s in spans]
@@ -149,18 +134,77 @@ class TestPipelineSpanTrees:
         fired = sum(s.attributes.get("fired", 0) for s in rule_spans)
         assert fired == len(report.detections)
 
-    def test_pool_detect_batch_adopts_worker_chunk_spans(self, process_tracer, monkeypatch):
-        for module in (pipeline_module, detector_module):
-            monkeypatch.setattr(
-                module, "resolve_workers", lambda requested: min(requested, 2)
+    def test_traced_scan_puts_the_live_source_in_a_context_stage(
+        self, process_tracer, tmp_path
+    ):
+        import sqlite3
+
+        from repro.ingest import LiveScanner
+
+        db_path = tmp_path / "app.db"
+        with sqlite3.connect(db_path) as connection:
+            connection.execute(
+                "CREATE TABLE t (id INTEGER PRIMARY KEY, tags TEXT, price FLOAT)"
             )
-        corpus = [f"SELECT c{i} FROM t{i} WHERE c{i} = {i}" for i in range(80)]
-        _, stats = APDetector(DetectorConfig()).detect_batch(corpus, workers=2)
-        assert stats.parallel_mode == "process-pool"
+            connection.executemany(
+                "INSERT INTO t (tags, price) VALUES (?, ?)",
+                [(f"a,b{i % 7}", i * 0.5) for i in range(2000)],
+            )
+        connection.close()
+        statements = [f"SELECT * FROM t WHERE id = {i}" for i in range(50)]
+        report = LiveScanner().scan(str(db_path), statements)
         spans, by_id = self._span_tree(process_tracer)
-        (parse_stage,) = [s for s in spans if s.name == "stage:parse"]
-        chunks = [s for s in spans if s.name == "chunk"]
-        assert len(chunks) == stats.chunks
-        assert all(s.parent_id == parse_stage.span_id for s in chunks)
-        assert sum(s.attributes["statements"] for s in chunks) == len(corpus)
-        assert all("pid" in s.attributes for s in chunks)
+        contexts = [s for s in spans if s.name == "stage:context"]
+        assert sum(s.duration for s in contexts) == pytest.approx(
+            report.stats.context_seconds, abs=1e-3
+        )
+        connector_spans = [s for s in spans if s.name.startswith("connector:")]
+        assert connector_spans
+
+        def has_context_ancestor(span):
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+                if span.name == "stage:context":
+                    return True
+            return False
+
+        assert all(has_context_ancestor(s) for s in connector_spans)
+
+    def test_traced_batch_cli_runs_in_process(self, tmp_path, monkeypatch):
+        from repro.core import sqlcheck as sqlcheck_module
+        from repro.interfaces.cli import run
+
+        # Let the corpus pool run on a single-CPU container too.
+        monkeypatch.setattr(
+            sqlcheck_module, "resolve_workers", lambda requested: min(requested, 2)
+        )
+        files = []
+        for seed in (5, 6):
+            path = tmp_path / f"repo{seed}.sql"
+            path.write_text(";\n".join(CorpusGenerator(seed).corpus_sql(50)) + ";\n")
+            files.append(str(path))
+
+        def traced_run(workers):
+            trace = tmp_path / f"trace{workers}.jsonl"
+            code, output = run(
+                files + ["--batch", "--workers", str(workers), "--format", "json",
+                         "--stats", "--trace", str(trace)]
+            )
+            assert code in (0, 1), output
+            lines = [json.loads(line) for line in trace.read_text().splitlines()]
+            return json.loads(output), lines
+
+        pooled, pooled_spans = traced_run(2)
+        _, serial_spans = traced_run(1)
+        assert pooled["stats"]["parallel_mode"] == "serial-fallback:traced"
+        checks = [s for s in pooled_spans if s["name"] == "check"]
+        assert sorted(s["attributes"]["source"] for s in checks) == sorted(files)
+
+        def rule_spans(lines):
+            return sorted(
+                (s["name"], s["attributes"].get("fired", 0))
+                for s in lines if s["name"].startswith("rule:")
+            )
+
+        assert rule_spans(pooled_spans)
+        assert rule_spans(pooled_spans) == rule_spans(serial_spans)
