@@ -72,15 +72,25 @@ class DDLBuilder:
     # CREATE TABLE
     # ------------------------------------------------------------------
     def _apply_create_table(self, statement: ParsedStatement) -> None:
+        table = self.derive_table(statement)
+        if table is not None:
+            self.schema.add_table(table)
+
+    def derive_table(self, statement: ParsedStatement) -> Table | None:
+        """The table a CREATE TABLE statement defines, or None (another
+        statement type, or no table name).  A function of the statement
+        alone: the schema is neither read nor changed."""
+        if statement.statement_type != "CREATE_TABLE":
+            return None
         tokens = statement.meaningful_tokens()
         table_name = self._create_table_name(tokens)
         if not table_name:
-            return
+            return None
         table = Table(name=table_name)
         body = self._first_parenthesis_body(tokens)
         for item in self._split_top_level_commas(body):
             self._apply_table_item(table, item)
-        self.schema.add_table(table)
+        return table
 
     def _create_table_name(self, tokens: list[Token]) -> str | None:
         skip = {"CREATE", "TABLE", "IF", "NOT", "EXISTS", "TEMP", "TEMPORARY", "NOT EXISTS"}

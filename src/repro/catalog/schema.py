@@ -174,6 +174,29 @@ class Table:
     def add_index(self, index: Index) -> None:
         self.indexes[index.name.lower()] = index
 
+    def copy(self) -> "Table":
+        """An independent copy: DDL applied to it (ALTER TABLE, CREATE INDEX,
+        dropped constraints) leaves this table unchanged.  Constraints are
+        frozen and shared; columns and indexes are copied."""
+        return Table(
+            name=self.name,
+            columns={key: _shallow_copy(column) for key, column in self.columns.items()},
+            primary_key=self.primary_key,
+            foreign_keys=list(self.foreign_keys),
+            checks=list(self.checks),
+            uniques=list(self.uniques),
+            indexes={key: _shallow_copy(index) for key, index in self.indexes.items()},
+            comment=self.comment,
+        )
+
+
+def _shallow_copy(obj):
+    """``copy.copy`` of a plain dataclass instance, without the reduce
+    protocol's overhead (about 5× faster on a :class:`Column`)."""
+    clone = object.__new__(type(obj))
+    clone.__dict__.update(obj.__dict__)
+    return clone
+
 
 @dataclass
 class Schema:

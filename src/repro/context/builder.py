@@ -9,10 +9,10 @@ database's tables.
 from __future__ import annotations
 
 import copy
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..catalog.ddl_builder import DDLBuilder
-from ..catalog.schema import Schema
+from ..catalog.schema import Schema, Table
 from ..errors import CODE_PARSE_ERROR, CODE_PROFILE_ERROR, PipelineError
 from ..obs import get_metrics, get_tracer, now
 from ..profiler.profiler import DataProfiler
@@ -34,8 +34,10 @@ class ContextBuilder:
     workloads are dominated by repeated statements, and a cache hit
     replays the stored parse + annotation through cheap shallow copies whose
     index and source are rebound to the current occurrence — so cached
-    output is identical to the cold path.  ``build`` adds the run's cache
-    hits and misses to the ``stats`` it is given.
+    output is identical to the cold path.  A cached CREATE TABLE also keeps
+    the table :meth:`DDLBuilder.derive_table` built from it, and the schema
+    gets a copy of that table instead of re-deriving it.  ``build`` adds the
+    run's cache hits and misses to the ``stats`` it is given.
     """
 
     def __init__(
@@ -82,7 +84,7 @@ class ContextBuilder:
         cache = self.annotation_cache
         hits0, misses0 = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
         t0 = now()
-        annotations = self._annotate_queries(queries, source, errors=errors)
+        annotations, tables = self._annotate_queries(queries, source, errors=errors)
         t1 = now()
         if tracer.enabled:
             tracer.record("stage:parse", t0, t1, statements=len(annotations))
@@ -93,7 +95,7 @@ class ContextBuilder:
             if cache is not None:
                 stats.annotation_cache_hits += cache.stats.hits - hits0
                 stats.annotation_cache_misses += cache.stats.misses - misses0
-        schema = self._build_schema(annotations, database)
+        schema = self._build_schema(annotations, tables, database)
         if database is not None:
             if errors is None:
                 profiles = self.profiler.profile_database(database)
@@ -144,13 +146,12 @@ class ContextBuilder:
         (and the per-statement report labels built from it) stays unique
         across the extended workload.
         """
-        additional = self._annotate_queries(
+        additional, tables = self._annotate_queries(
             queries, source, start_index=len(context.queries)
         )
         context.queries.extend(additional)
-        ddl = [a.statement for a in additional if a.statement is not None and a.statement.is_ddl]
-        if ddl and context.database is None:
-            DDLBuilder(context.schema).build(ddl)
+        if context.database is None:
+            _apply_ddl(DDLBuilder(context.schema), additional, tables)
         return context
 
     # ------------------------------------------------------------------
@@ -163,10 +164,12 @@ class ContextBuilder:
         *,
         start_index: int = 0,
         errors: "list[PipelineError] | None" = None,
-    ) -> list[QueryAnnotation]:
+    ) -> "tuple[list[QueryAnnotation], list[Table | None]]":
         """Annotate a workload, preserving input order and indexing every
         statement by its workload position (from ``start_index``, so
         :meth:`extend` continues an existing context's numbering).
+        Alongside the annotations comes each one's cached CREATE TABLE
+        table, or None (see :meth:`_parse_text`).
 
         Positions (offset/line/length) are cleared only on statements we
         parsed from *list elements* of strings: those were parsed one by
@@ -175,10 +178,10 @@ class ContextBuilder:
         keeps its valid anchors, and caller-supplied ParsedStatement /
         QueryAnnotation objects keep whatever positions the caller parsed.
         """
-        # (statement, annotation-or-None, clear-positions) triples in
-        # workload order; cache hits and passthrough annotations arrive
+        # (statement, annotation-or-None, clear-positions, table-or-None)
+        # in workload order; cache hits and passthrough annotations arrive
         # pre-annotated, everything else is annotated below.
-        pending: "list[tuple[ParsedStatement | None, QueryAnnotation | None, bool]]" = []
+        pending: "list[tuple[ParsedStatement | None, QueryAnnotation | None, bool, Table | None]]" = []
 
         def parse_element(text: str, clear_positions: bool) -> None:
             # With an error sink attached (quarantine mode), a text that the
@@ -200,20 +203,21 @@ class ContextBuilder:
                         )
                     )
                     return
-            pending.extend((s, a, clear_positions) for s, a in parsed)
+            pending.extend((s, a, clear_positions, t) for s, a, t in parsed)
 
         if isinstance(queries, str):
             parse_element(queries, False)
         else:
             for query in queries:
                 if isinstance(query, QueryAnnotation):
-                    pending.append((query.statement, query, False))
+                    pending.append((query.statement, query, False, None))
                 elif isinstance(query, ParsedStatement):
-                    pending.append((query, None, False))
+                    pending.append((query, None, False, None))
                 else:
                     parse_element(query, True)
         annotations: list[QueryAnnotation] = []
-        for statement, annotation, clear_positions in pending:
+        tables: "list[Table | None]" = []
+        for statement, annotation, clear_positions, table in pending:
             if statement is not None:
                 statement.index = start_index + len(annotations)
                 if clear_positions:
@@ -237,51 +241,81 @@ class ContextBuilder:
                         )
                         continue
             annotations.append(annotation)
+            tables.append(table)
         if self.annotation_cache is not None:
             get_metrics().annotation_cache_entries.set(len(self.annotation_cache))
-        return annotations
+        return annotations, tables
 
     def _parse_text(
         self, text: str, source: str | None
-    ) -> "list[tuple[ParsedStatement, QueryAnnotation]]":
-        """Parse + annotate one SQL string, through the cache when attached."""
+    ) -> "list[tuple[ParsedStatement, QueryAnnotation, Table | None]]":
+        """Parse + annotate one SQL string, through the cache when attached.
+
+        A cached template is a (statement, annotation, table) triple: the
+        table a CREATE TABLE defines, None for other statements.  Texts the
+        cache declines carry no table, so the schema build derives theirs.
+        """
         cache = self.annotation_cache
         if cache is None:
-            return [(statement, annotate(statement)) for statement in parse(text, source=source)]
+            return [(s, annotate(s), None) for s in parse(text, source=source)]
         templates = cache.get(text, scope=self.dialect.name)
         get_metrics().annotation_cache_lookups.inc_single(
             "miss" if templates is None else "hit"
         )
         if templates is None:
             statements = parse(text, source=source)
-            templates = [(statement, annotate(statement)) for statement in statements]
             # Large multi-statement scripts are not worth caching whole: one
             # entry would pin an entire corpus parse tree, and any edit to
             # the script misses it anyway.  Per-statement reuse comes from
             # list-of-statements inputs (the batch paths).
             if len(statements) > _MAX_CACHED_SCRIPT_STATEMENTS:
-                return templates
+                return [(s, annotate(s), None) for s in statements]
+            # The table is a function of its statement alone, so it is
+            # derived once here and lives (and is evicted) with its template.
+            derive = DDLBuilder().derive_table
+            templates = [(s, annotate(s), derive(s)) for s in statements]
             cache.put(text, templates, scope=self.dialect.name)
             # Fall through to the rebind loop: callers mutate the returned
             # statements (index rebinding, position clearing), and cached
             # templates must stay pristine for future occurrences.
         rebound = []
-        for template_statement, template_annotation in templates:
+        for template_statement, template_annotation, table in templates:
             statement = copy.copy(template_statement)
             statement.source = source
             annotation = copy.copy(template_annotation)
             annotation.statement = statement
-            rebound.append((statement, annotation))
+            rebound.append((statement, annotation, table))
         return rebound
 
     def _build_schema(
-        self, annotations: Iterable[QueryAnnotation], database: Any | None
+        self,
+        annotations: "list[QueryAnnotation]",
+        tables: "list[Table | None]",
+        database: Any | None,
     ) -> Schema:
         if database is not None and getattr(database, "schema", None) is not None:
             return database.schema
         builder = DDLBuilder()
-        ddl = [a.statement for a in annotations if a.statement is not None and a.statement.is_ddl]
-        return builder.build(ddl)
+        _apply_ddl(builder, annotations, tables)
+        return builder.schema
+
+
+def _apply_ddl(
+    builder: DDLBuilder,
+    annotations: "list[QueryAnnotation]",
+    tables: "list[Table | None]",
+) -> None:
+    """Apply a workload's DDL to ``builder``'s schema in workload order.
+
+    A CREATE TABLE whose table came with its cached template adds a copy
+    of that table instead of re-deriving it; the copy keeps later DDL on
+    this schema (ALTER TABLE, CREATE INDEX) out of the cache.
+    """
+    for annotation, table in zip(annotations, tables):
+        if table is not None:
+            builder.schema.add_table(table.copy())
+        elif annotation.statement is not None and annotation.statement.is_ddl:
+            builder.apply(annotation.statement)
 
 
 def build_context(

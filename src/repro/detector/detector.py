@@ -95,6 +95,17 @@ class DetectorConfig:
     persistent_memo_path: "str | None" = None
 
 
+def thresholds_key(thresholds: Thresholds) -> bytes:
+    """The bytes memo scopes and stored keys digest for ``thresholds``.
+
+    The same bytes as ``repr(dataclasses.astuple(thresholds))`` (the
+    fields are ints and floats), without ``astuple``'s field-by-field deep
+    copy on every run.
+    """
+    fields = dataclasses.fields(thresholds)
+    return repr(tuple(getattr(thresholds, f.name) for f in fields)).encode()
+
+
 class APDetector:
     """Finds anti-patterns in a workload (Algorithm 1).
 
@@ -491,7 +502,7 @@ class APDetector:
         digest = hashlib.blake2b(digest_size=16)
         digest.update(b"script\x00" if script else b"corpus\x00")
         digest.update(self.registry.content_digest)
-        digest.update(repr(dataclasses.astuple(cfg.thresholds)).encode())
+        digest.update(thresholds_key(cfg.thresholds))
         digest.update(
             f"{cfg.enable_inter_query}|{cfg.enable_data}|"
             f"{cfg.confidence_threshold!r}|{cfg.deduplicate}|{cfg.quarantine}|"
@@ -556,7 +567,7 @@ class APDetector:
         # the same digest re-derives in a restarted process, which is what
         # lets the persistent store share entries across runs.
         digest.update(self.registry.content_digest)
-        digest.update(repr(dataclasses.astuple(self.config.thresholds)).encode())
+        digest.update(thresholds_key(self.config.thresholds))
         digest.update(
             f"{self.config.enable_inter_query}|{self.config.enable_data}|"
             f"{getattr(context.dialect, 'name', context.dialect)}".encode()

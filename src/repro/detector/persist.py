@@ -15,7 +15,8 @@ Three tables mirror the three cache layers:
   so a stored hit is promoted into memory and replays through the same code
   path (byte-identical by construction);
 * ``annotations`` — ``(scope, raw) -> pickled parse templates``, the store
-  tier under the parse cache, scoped by dialect;
+  tier under the parse cache, scoped by dialect; a CREATE TABLE's template
+  carries the table derived from it;
 * ``corpus`` — a whole-run replay: the digest of an entire ``detect_batch``
   input (ordered exact texts + configuration scope) maps to the final
   deduplicated detections, so re-analysing an unchanged corpus skips the
@@ -45,8 +46,9 @@ import threading
 from ..obs import get_metrics
 
 #: Schema/payload format of the store; bump on any incompatible change so
-#: old files invalidate cleanly instead of unpickling garbage.
-FORMAT_VERSION = 2
+#: old files invalidate cleanly instead of unpickling garbage.  Format 3:
+#: a parse template is a (statement, annotation, CREATE TABLE's table) triple.
+FORMAT_VERSION = 3
 
 #: Row ceiling per cache table; the flush trims oldest-first beyond it.
 MAX_ROWS = 65536
@@ -282,17 +284,34 @@ class PersistentMemo:
                     for table, row in pending:
                         self._conn.execute(self._INSERTS[table], row)
                     for table in _TABLES:
-                        self._conn.execute(
-                            f"DELETE FROM {table} WHERE rowid NOT IN "
-                            f"(SELECT rowid FROM {table} ORDER BY rowid DESC LIMIT ?)",
-                            (self.max_rows,),
-                        )
+                        self._trim(table)
             except (sqlite3.Error, OSError):
                 self._io_failure()
                 return
             metrics = get_metrics()
             if metrics.enabled:
                 metrics.persistent_memo_entries.set(self._total_rows())
+
+    def _trim(self, table: str) -> None:
+        """Keep only ``table``'s ``max_rows`` newest rows (highest rowids).
+
+        Rowids only grow (``INSERT OR REPLACE`` re-inserts a key at the
+        end), so a rowid span within ``max_rows`` bounds the row count and
+        the trim is skipped after two b-tree seeks; one ``SELECT min(rowid),
+        max(rowid)`` would scan the table instead.  Otherwise one range
+        delete drops the ``(max_rows + 1)``-th newest row and every older
+        one.
+        """
+        (span,) = self._conn.execute(
+            f"SELECT (SELECT max(rowid) FROM {table}) - (SELECT min(rowid) FROM {table}) + 1"
+        ).fetchone()
+        if span is None or span <= self.max_rows:
+            return
+        self._conn.execute(
+            f"DELETE FROM {table} WHERE rowid <= "
+            f"(SELECT rowid FROM {table} ORDER BY rowid DESC LIMIT 1 OFFSET ?)",
+            (self.max_rows,),
+        )
 
     def _total_rows(self) -> int:
         if self._conn is None:

@@ -42,7 +42,7 @@ from typing import Sequence
 
 from ..core.sqlcheck import SQLCheck, SQLCheckOptions, SQLCheckReport
 from ..detector.detector import DetectorConfig
-from ..obs import get_metrics, get_tracer
+from ..obs import attach_snapshot, get_tracer
 from ..ranking.config import C1, C2, RankingConfig
 from ..reporting import (
     ALL_FORMATS,
@@ -678,7 +678,7 @@ def render(
         if not stats:
             payload.pop("stats", None)
         else:
-            _attach_metrics(payload)
+            attach_snapshot(payload)
         return json.dumps(payload, indent=2, default=str)
     lines: list[str] = []
     entries = report.detections[:top] if top else report.detections
@@ -719,18 +719,6 @@ def render(
     if stats and report.stats is not None:
         lines.extend(_stats_lines(report.stats))
     return "\n".join(lines)
-
-
-def _attach_metrics(payload: dict) -> None:
-    """Fold a snapshot of the process metrics registry into a stats block.
-
-    Stats payloads stay byte-stable with metrics disabled (conformance
-    comparisons rely on it), so the block only appears when the registry is
-    live and the payload actually carries stats.
-    """
-    metrics = get_metrics()
-    if metrics.enabled and isinstance(payload.get("stats"), dict):
-        payload["stats"]["metrics"] = metrics.snapshot()
 
 
 def _stats_lines(stats) -> list[str]:
@@ -779,7 +767,7 @@ def render_batch(
         if not stats:
             payload.pop("stats", None)
         else:
-            _attach_metrics(payload)
+            attach_snapshot(payload)
         return json.dumps(payload, indent=2, default=str)
     sections: list[str] = [
         f"sqlcheck: {len(batch)} anti-pattern(s) across {len(batch.reports)} corpora"

@@ -5,27 +5,31 @@ through Flask.  Flask is unavailable offline, so the same contract is served
 by the standard library's ``http.server``:
 
 * ``POST /api/check``  — body ``{"query": "...", "config": "C1"|"C2",
-  "format": "json"|"markdown"|"html"|"sarif"}``; the default ``json``
-  returns the ranked detections and fixes (including per-stage pipeline
-  timings under ``"stats"``), ``sarif`` returns a SARIF 2.1.0 log object,
-  and ``markdown``/``html`` return ``{"format": ..., "content": ...}``
-  with the rendered explainable report;
+  "format": "json"|"markdown"|"html"|"sarif", "stats": true}``; the
+  default ``json`` returns the ranked detections and fixes (including
+  per-stage pipeline timings under ``"stats"``, plus the process metrics
+  snapshot under ``"stats"."metrics"`` when the request sets
+  ``"stats": true``), ``sarif`` returns a SARIF 2.1.0 log object, and
+  ``markdown``/``html`` return ``{"format": ..., "content": ...}`` with
+  the rendered explainable report;
 * ``POST /api/check_batch`` — body ``{"corpora": {"name": "sql..."},
-  "workers": N, "format": ...}``, runs the parallel batch pipeline over
-  independent corpora and returns one report per corpus plus aggregate
-  stats (same ``format`` values as ``/api/check``);
+  "workers": N, "format": ..., "stats": true}``, runs the parallel batch
+  pipeline over independent corpora and returns one report per corpus plus
+  aggregate stats (same ``format`` and ``stats`` handling as
+  ``/api/check``);
 * ``POST /api/scan`` — live-source ingestion: body ``{"db": "sqlite:///...",
   "db_base64": "<base64 SQLite file>", "log_text": "...", "log_format":
   "postgres-csv"|"postgres"|"pg_stat_statements"|"mysql"|"sqlite-trace"|
   "sql", "pg_stat": true|"table_name", "cost_model": "frequency"|
-  "duration"|"hybrid", "sample": N, "config": ..., "format": ...}``; the
-  database — a server-local path/URL *or* an uploaded SQLite file sent
-  base64-encoded in ``db_base64`` — is introspected into the schema+data
-  context, ``pg_stat`` reads a ``pg_stat_statements`` snapshot table from
-  it, and the workload's execution frequencies and durations weight the
-  ranking through the chosen cost model (``sample`` caps profiled rows per
-  table via connector push-down; it must be positive — zero rows is not a
-  meaningful cap and never means "unlimited");
+  "duration"|"hybrid", "sample": N, "config": ..., "format": ...,
+  "stats": true}``; the database — a server-local path/URL *or* an
+  uploaded SQLite file sent base64-encoded in ``db_base64`` — is
+  introspected into the schema+data context, ``pg_stat`` reads a
+  ``pg_stat_statements`` snapshot table from it, and the workload's
+  execution frequencies and durations weight the ranking through the
+  chosen cost model (``sample`` caps profiled rows per table via connector
+  push-down; it must be positive — zero rows is not a meaningful cap and
+  never means "unlimited");
 * ``POST /api/selftest`` — runs the conformance testkit (rule examples,
   golden corpus, differential oracles) in-process and returns the suite
   verdict with per-oracle results; body ``{"seed": N, "statements": N}``
@@ -66,7 +70,7 @@ from ..errors import (
     ErrorBudgetExceeded,
 )
 from ..model.antipatterns import catalog_entry, full_catalog
-from ..obs import PROMETHEUS_CONTENT_TYPE, get_metrics, render_prometheus
+from ..obs import PROMETHEUS_CONTENT_TYPE, attach_snapshot, get_metrics, render_prometheus
 from ..ranking.config import C1, C2
 from ..rules.registry import default_registry
 from ..reporting import (
@@ -175,16 +179,12 @@ def _resolve_pool(pool: "ToolchainPool | None") -> ToolchainPool:
     return pool if pool is not None else _DEFAULT_POOL
 
 
-def _attach_metrics(body: dict) -> None:
-    """Fold a metrics snapshot into a response's ``stats`` block.
-
-    Applied to every JSON-format report response that carries stats; absent
-    when metrics are disabled, so conformance comparisons against the
-    historical payload shape stay byte-stable.
-    """
-    metrics = get_metrics()
-    if metrics.enabled and isinstance(body.get("stats"), dict):
-        body["stats"]["metrics"] = metrics.snapshot()
+def _json_report(body: dict, payload: dict) -> dict:
+    """A JSON-format report body, with the process metrics snapshot in its
+    ``stats`` block only when the request sets ``"stats": true``."""
+    if payload.get("stats") is True:
+        attach_snapshot(body)
+    return body
 
 
 def _error(message: str, code: str = CODE_BAD_REQUEST) -> dict:
@@ -245,9 +245,7 @@ def handle_check_request(
     with lock:
         report = toolchain.check(query)
     if fmt == "json":
-        body = report.to_dict()
-        _attach_metrics(body)
-        return 200, body
+        return 200, _json_report(report.to_dict(), payload)
     document = build_document(report, registry=toolchain.registry, source="request")
     return 200, _formatted_response(document, fmt, toolchain.registry)
 
@@ -285,9 +283,7 @@ def handle_check_batch_request(
     with lock:
         batch = toolchain.check_many(corpora, workers=workers)
     if fmt == "json":
-        body = batch.to_dict()
-        _attach_metrics(body)
-        return 200, body
+        return 200, _json_report(batch.to_dict(), payload)
     documents = build_documents(batch, registry=toolchain.registry)
     return 200, _formatted_response(documents, fmt, toolchain.registry)
 
@@ -483,8 +479,7 @@ def handle_scan_request(
         body = report.to_dict()
         if workload_info is not None:
             body["workload"] = workload_info
-        _attach_metrics(body)
-        return 200, body
+        return 200, _json_report(body, payload)
     # Rich formats carry the same ingestion provenance the JSON block does
     # (the markdown/html summary line; the SARIF run property bag) — a
     # degraded scan must say so in every format, not just JSON.

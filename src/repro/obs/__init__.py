@@ -25,6 +25,7 @@ on the fused cold path.
 """
 from .metrics import (
     MetricsRegistry,
+    attach_snapshot,
     get_metrics,
     observe_stage_seconds,
     set_metrics_enabled,
@@ -39,6 +40,7 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "Span",
     "Tracer",
+    "attach_snapshot",
     "get_metrics",
     "get_tracer",
     "now",

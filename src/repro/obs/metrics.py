@@ -454,3 +454,15 @@ def observe_stage_seconds(stats) -> None:
     registry.stage_seconds.observe(stats.rank_seconds, stage="rank")
     registry.stage_seconds.observe(stats.fix_seconds, stage="fix")
     registry.statements.inc(stats.statements)
+
+
+def attach_snapshot(payload: dict) -> None:
+    """Fold a :meth:`~MetricsRegistry.snapshot` into ``payload["stats"]``.
+
+    The one path behind the CLI's ``--stats`` and a REST request's
+    ``"stats": true``.  Nothing is attached when metrics are disabled or
+    the payload carries no stats block, so those payloads stay byte-stable.
+    """
+    registry = _REGISTRY
+    if registry.enabled and isinstance(payload.get("stats"), dict):
+        payload["stats"]["metrics"] = registry.snapshot()

@@ -5,6 +5,10 @@ byte-identical to cold-path results on duplicate-heavy corpora, and any
 registry mutation must invalidate both the dispatch index and the detection
 memo.
 """
+import dataclasses
+
+import pytest
+
 from repro import (
     APDetector,
     AntiPattern,
@@ -12,6 +16,7 @@ from repro import (
     SQLCheck,
     SQLCheckOptions,
 )
+from repro.detector.detector import thresholds_key
 from repro.rules.query_rules import ColumnWildcardRule
 from repro.rules.registry import default_registry
 from repro.rules.thresholds import Thresholds
@@ -146,6 +151,16 @@ class TestRegistryInvalidation:
         assert detector.detect(sql).filter(AntiPattern.TOO_MANY_JOINS)
         detector.config.thresholds = Thresholds(too_many_joins=50)
         assert not detector.detect(sql).filter(AntiPattern.TOO_MANY_JOINS)
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [Thresholds(), Thresholds(too_many_joins=50, enum_distinct_ratio=0.125, min_sample_size=0)],
+    )
+    def test_thresholds_key_is_the_astuple_repr(self, thresholds):
+        # Memo scopes and stored keys digest these bytes; they must not
+        # change, or every persistent store would go cold.
+        expected = repr(dataclasses.astuple(thresholds)).encode()
+        assert thresholds_key(thresholds) == expected
 
 
 class TestBatchPipeline:

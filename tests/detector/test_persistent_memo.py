@@ -117,6 +117,67 @@ class TestStoreTier:
         store.close()
 
 
+class TestTrim:
+    """The flush keeps each table's ``max_rows`` newest rows, at a cost
+    that does not grow with the rows already stored."""
+
+    #: The trim every flush ran before the rowid-span check.
+    OLD_TRIM = (
+        "DELETE FROM {table} WHERE rowid NOT IN "
+        "(SELECT rowid FROM {table} ORDER BY rowid DESC LIMIT ?)"
+    )
+
+    @staticmethod
+    def _rows(conn, table: str) -> list:
+        return conn.execute(f"SELECT rowid, scope, raw FROM {table} ORDER BY rowid").fetchall()
+
+    def test_survivors_equal_the_old_trims(self, tmp_path):
+        store = PersistentMemo(tmp_path / "memo.sqlite", registry_digest=b"r1", max_rows=5)
+        reference = sqlite3.connect(":memory:")
+        reference.execute(
+            "CREATE TABLE memo (scope TEXT NOT NULL, raw TEXT NOT NULL, "
+            "payload BLOB NOT NULL, PRIMARY KEY (scope, raw))"
+        )
+        # Re-put keys (INSERT OR REPLACE moves a key to a new rowid) so the
+        # rowid span outgrows the row count, then flush in uneven batches.
+        batches = [range(0, 4), range(2, 9), range(9, 10), [3, 0, 12], range(13, 30), [29]]
+        for batch in batches:
+            for n in batch:
+                key = ("s", f"SELECT {n}")
+                store.put("memo", key, [n])
+                reference.execute(
+                    "INSERT OR REPLACE INTO memo (scope, raw, payload) VALUES (?, ?, ?)",
+                    (*key, pickle.dumps([n])),
+                )
+            store.flush()
+            reference.execute(self.OLD_TRIM.format(table="memo"), (5,))
+            assert self._rows(store._conn, "memo") == self._rows(reference, "memo")
+        assert len(self._rows(store._conn, "memo")) == 5
+        store.close()
+
+    def test_flush_steps_do_not_grow_with_stored_rows(self, tmp_path):
+        """Counted, not timed: VDBE steps of a 9-row flush over 1,000 and
+        over 8,000 stored rows (329 each; 13,377 and 104,377 with a trim
+        that walked the whole table)."""
+
+        def flush_steps(stored: int) -> int:
+            store = PersistentMemo(tmp_path / f"memo-{stored}.sqlite", registry_digest=b"r1")
+            for n in range(stored):
+                store.put("annotations", ("d", f"SELECT {n}"), [])
+            store.flush()
+            for n in range(9):
+                store.put("annotations", ("d", f"SELECT new {n}"), [])
+            steps = []
+            store._conn.set_progress_handler(lambda: steps.append(1), 1)
+            store.flush()
+            store._conn.set_progress_handler(None, 1)
+            store.close()
+            return len(steps)
+
+        small, large = flush_steps(1000), flush_steps(8000)
+        assert 0 < large <= 1.5 * small, (small, large)
+
+
 #: The store's schema before the caches stopped keying on fingerprints.
 FORMAT_1_SCHEMA = """
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);

@@ -7,7 +7,13 @@ import urllib.request
 import pytest
 
 from repro import LiveScanner, SQLCheck
-from repro.interfaces.rest import RestServer, ToolchainPool, handle_check_request
+from repro.interfaces.rest import (
+    RestServer,
+    ToolchainPool,
+    handle_check_batch_request,
+    handle_check_request,
+    handle_scan_request,
+)
 from repro.obs import MetricsRegistry, get_metrics, set_metrics_enabled, swap_registry
 from repro.obs.prometheus import render_prometheus
 
@@ -89,6 +95,44 @@ class TestStatsMetricsBlock:
         assert "sqlcheck_rule_fires_total" in metrics
         json.dumps(metrics)  # must be JSON-serialisable as-is
 
+    # The snapshot is opt-in on every JSON report route: a default body
+    # keeps its pipeline ``stats`` and carries no ``metrics`` block.
+    def test_rest_check_attaches_metrics_only_on_request(self, fresh_registry):
+        pool = ToolchainPool()
+        status, body = handle_check_request({"query": "SELECT * FROM t"}, pool=pool)
+        assert status == 200
+        assert "stages" in body["stats"]
+        assert "metrics" not in body["stats"]
+        for flag in (False, "true", 1):
+            _, body = handle_check_request(
+                {"query": "SELECT * FROM t", "stats": flag}, pool=pool
+            )
+            assert "metrics" not in body["stats"], flag
+
+    def test_rest_check_batch_attaches_metrics_only_on_request(self, fresh_registry):
+        pool = ToolchainPool()
+        request = {"corpora": {"a": "SELECT * FROM t", "b": ["SELECT * FROM u"]}}
+        status, body = handle_check_batch_request(dict(request), pool=pool)
+        assert status == 200
+        assert "stages" in body["stats"]
+        assert "metrics" not in body["stats"]
+        status, body = handle_check_batch_request({**request, "stats": True}, pool=pool)
+        assert status == 200
+        assert "sqlcheck_stage_seconds" in body["stats"]["metrics"]
+        json.dumps(body)
+
+    def test_rest_scan_attaches_metrics_only_on_request(self, fresh_registry):
+        pool = ToolchainPool()
+        request = {"log_text": "SELECT * FROM t;\nSELECT * FROM t;\n", "log_format": "sql"}
+        status, body = handle_scan_request(dict(request), pool=pool)
+        assert status == 200
+        assert "stages" in body["stats"]
+        assert "metrics" not in body["stats"]
+        status, body = handle_scan_request({**request, "stats": True}, pool=pool)
+        assert status == 200
+        assert "sqlcheck_stage_seconds" in body["stats"]["metrics"]
+        json.dumps(body)
+
     def test_stats_payload_is_byte_stable_when_metrics_disabled(self, fresh_registry):
         previous = set_metrics_enabled(False)
         try:
@@ -108,6 +152,19 @@ class TestStatsMetricsBlock:
         payload = json.loads(output)
         assert "metrics" in payload["stats"]
         assert "sqlcheck_rule_fires_total" in payload["stats"]["metrics"]
+
+    def test_cli_batch_stats_payload_carries_metrics(self, fresh_registry, tmp_path):
+        from repro.interfaces.cli import run
+
+        paths = []
+        for name in ("a.sql", "b.sql"):
+            path = tmp_path / name
+            path.write_text("SELECT * FROM t;\n", encoding="utf-8")
+            paths.append(str(path))
+        _, output = run([*paths, "--batch", "--format", "json", "--stats"])
+        assert "sqlcheck_stage_seconds" in json.loads(output)["stats"]["metrics"]
+        _, output = run([*paths, "--batch", "--format", "json"])
+        assert "stats" not in json.loads(output)
 
 
 def _samples(registry: MetricsRegistry) -> "dict[str, float]":
