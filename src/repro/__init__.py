@@ -20,7 +20,7 @@ Quickstart::
 from .core.finder import find_anti_patterns
 from .core.sqlcheck import BatchReport, SQLCheck, SQLCheckOptions, SQLCheckReport
 from .detector.detector import APDetector, DetectorConfig
-from .detector.pipeline import PipelineStats
+from .obs import PipelineStats
 from .engine.database import Database
 from .fixer.fix import Fix, FixKind
 from .ingest import LiveScanner, WorkloadLog, connect, read_workload_log, scan

@@ -14,7 +14,7 @@ from typing import Any, Sequence
 from ..catalog.ddl_builder import DDLBuilder
 from ..catalog.schema import Schema, Table
 from ..errors import CODE_PARSE_ERROR, CODE_PROFILE_ERROR, PipelineError
-from ..obs import get_metrics, get_tracer, now
+from ..obs import PipelineStats, get_metrics
 from ..profiler.profiler import DataProfiler
 from ..profiler.sampler import Sampler
 from ..sqlparser import AnnotationCache, ParsedStatement, QueryAnnotation, annotate, parse
@@ -36,8 +36,9 @@ class ContextBuilder:
     index and source are rebound to the current occurrence — so cached
     output is identical to the cold path.  A cached CREATE TABLE also keeps
     the table :meth:`DDLBuilder.derive_table` built from it, and the schema
-    gets a copy of that table instead of re-deriving it.  ``build`` adds the
-    run's cache hits and misses to the ``stats`` it is given.
+    gets a copy of that table instead of re-deriving it.  The cache counts
+    its own lookups; ``build`` adds the run's hits and misses (the delta of
+    ``annotation_cache.stats``) to the ``stats`` it is given.
     """
 
     def __init__(
@@ -63,16 +64,17 @@ class ContextBuilder:
         queries: "Sequence[str | ParsedStatement | QueryAnnotation] | str" = (),
         database: Any | None = None,
         source: str | None = None,
-        stats: Any | None = None,
+        stats: PipelineStats | None = None,
         *,
         quarantine: bool = False,
     ) -> ApplicationContext:
         """Build a context from queries and an optional engine database.
 
-        ``stats`` (a ``PipelineStats``, duck-typed to avoid an import cycle)
-        receives the parse stage separately from schema building and data
-        profiling, so database-backed runs don't misattribute profiling I/O
-        to the parser.
+        ``stats`` (a :class:`~repro.obs.PipelineStats`; a fresh one when
+        omitted, so a traced run keeps its stage spans) times the parse
+        stage apart from schema building and data profiling, so
+        database-backed runs don't misattribute profiling I/O to the
+        parser, and receives the run's parse-cache hits and misses.
 
         With ``quarantine=True`` a statement that fails to parse or annotate
         is recorded as a :class:`~repro.errors.PipelineError` on
@@ -80,52 +82,41 @@ class ContextBuilder:
         normally.  Off (the default), failures propagate as before.
         """
         errors: "list[PipelineError] | None" = [] if quarantine else None
-        tracer = get_tracer()
+        if stats is None:
+            stats = PipelineStats()
         cache = self.annotation_cache
-        hits0, misses0 = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
-        t0 = now()
-        annotations, tables = self._annotate_queries(queries, source, errors=errors)
-        t1 = now()
-        if tracer.enabled:
-            tracer.record("stage:parse", t0, t1, statements=len(annotations))
-        if stats is not None:
-            # One shared boundary timestamp between the stages keeps
-            # parse + context equal to the elapsed wall-clock exactly.
-            stats.parse_seconds += t1 - t0
+        hits, misses = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
+        with stats.stage("parse"):
+            annotations, tables = self._annotate_queries(queries, source, errors=errors)
             if cache is not None:
-                stats.annotation_cache_hits += cache.stats.hits - hits0
-                stats.annotation_cache_misses += cache.stats.misses - misses0
-        schema = self._build_schema(annotations, tables, database)
-        if database is not None:
-            if errors is None:
-                profiles = self.profiler.profile_database(database)
-            else:
-                try:
+                stats.annotation_cache_hits += cache.stats.hits - hits
+                stats.annotation_cache_misses += cache.stats.misses - misses
+        with stats.stage("context"):
+            schema = self._build_schema(annotations, tables, database)
+            if database is not None:
+                if errors is None:
                     profiles = self.profiler.profile_database(database)
-                except Exception as error:
-                    profiles = {}
-                    errors.append(
-                        PipelineError.from_exception(
-                            "data", error, code=CODE_PROFILE_ERROR, source=source
+                else:
+                    try:
+                        profiles = self.profiler.profile_database(database)
+                    except Exception as error:
+                        profiles = {}
+                        errors.append(
+                            PipelineError.from_exception(
+                                "data", error, code=CODE_PROFILE_ERROR, source=source
+                            )
                         )
-                    )
-        else:
-            profiles = {}
-        context = ApplicationContext(
-            queries=annotations,
-            schema=schema,
-            profiles=profiles,
-            database=database,
-            dialect=self.dialect,
-            source=source,
-            errors=list(errors or ()),
-        )
-        t2 = now()
-        if tracer.enabled:
-            tracer.record("stage:context", t1, t2, tables=schema.table_count)
-        if stats is not None:
-            stats.context_seconds += t2 - t1
-        return context
+            else:
+                profiles = {}
+            return ApplicationContext(
+                queries=annotations,
+                schema=schema,
+                profiles=profiles,
+                database=database,
+                dialect=self.dialect,
+                source=source,
+                errors=list(errors or ()),
+            )
 
     def refresh_data(self, context: ApplicationContext) -> ApplicationContext:
         """Re-profile the database (the paper notes the data analyser
@@ -259,9 +250,6 @@ class ContextBuilder:
         if cache is None:
             return [(s, annotate(s), None) for s in parse(text, source=source)]
         templates = cache.get(text, scope=self.dialect.name)
-        get_metrics().annotation_cache_lookups.inc_single(
-            "miss" if templates is None else "hit"
-        )
         if templates is None:
             statements = parse(text, source=source)
             # Large multi-statement scripts are not worth caching whole: one

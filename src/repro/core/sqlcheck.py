@@ -30,7 +30,6 @@ from ..detector.pipeline import (
     REASON_SINGLE_CPU,
     REASON_SMALL_INPUT,
     REASON_TRACED,
-    PipelineStats,
     resolve_workers,
     serial_mode,
 )
@@ -38,7 +37,7 @@ from ..fixer.fix import Fix
 from ..fixer.repair_engine import APFixer, QueryRepairEngine
 from ..model.antipatterns import AntiPattern
 from ..model.detection import DetectionReport
-from ..obs import get_tracer, now, observe_stage_seconds
+from ..obs import PipelineStats, get_tracer, now, observe_stage_seconds
 from ..ranking.config import C1, RankingConfig
 from ..ranking.cost_model import WorkloadCostModel, resolve_cost_model
 from ..ranking.metrics import APMetrics
@@ -93,7 +92,7 @@ class SQLCheckReport:
             the repair engine could handle (empty when fixes are disabled).
         queries_analyzed: number of statements the detector analysed.
         tables_analyzed: number of tables profiled or seen in the schema.
-        stats: per-stage :class:`~repro.detector.pipeline.PipelineStats`
+        stats: per-stage :class:`~repro.obs.PipelineStats`
             (parse/context/detect/rank/fix timings, cache hit rates).
         errors: quarantined :class:`~repro.errors.PipelineError` records;
             non-empty means the run is :attr:`degraded` — the results cover
@@ -293,7 +292,6 @@ class SQLCheck:
         """Run the full pipeline over queries and an optional database."""
         stats = PipelineStats()
         with get_tracer().span("check", source=source):
-            start = now()
             context = self._builder.build(
                 queries,
                 database=database,
@@ -301,9 +299,7 @@ class SQLCheck:
                 stats=stats,
                 quarantine=self.options.detector.quarantine,
             )
-            report = self.check_context(context, stats=stats)
-            stats.total_seconds = now() - start
-        return report
+            return self.check_context(context, stats=stats)
 
     def check_context(
         self, context: ApplicationContext, stats: PipelineStats | None = None
@@ -312,17 +308,12 @@ class SQLCheck:
 
         Every run that reaches here (``check``, ``scan``, ``stream`` and
         direct calls) folds its stage timings into the metrics registry once.
+        Detect, rank and fix run under ``stats``' stage clock, continuing
+        the stages it already timed (a built context's parse and context).
         """
         stats = stats if stats is not None else PipelineStats()
-        tracer = get_tracer()
-        # Shared boundary timestamps: detect + rank + fix equals the elapsed
-        # wall-clock exactly, keeping total ≡ sum of stages (the accounting
-        # invariant the conformance oracle checks).
-        t0 = now()
-        with tracer.span("stage:detect"):
+        with stats.stage("detect"):
             detection_report = self.detector.detect_in_context(context, stats=stats)
-        t1 = now()
-        stats.detect_seconds += t1 - t0
         quarantine = self.options.detector.quarantine
         errors: "list[PipelineError]" = list(detection_report.errors)
 
@@ -337,7 +328,7 @@ class SQLCheck:
         # and durations to the context) weight the ranking through the
         # configured cost model; absent a log every weight is 1.
         model = resolve_cost_model(self.options.cost_model)
-        with tracer.span("stage:rank"):
+        with stats.stage("rank"):
             try:
                 ranked = self.ranker.rank(
                     detection_report,
@@ -353,9 +344,7 @@ class SQLCheck:
                 record("rank", CODE_RANK_ERROR, error)
                 model = resolve_cost_model(None)
                 ranked = self.ranker.rank(detection_report)
-        t2 = now()
-        stats.rank_seconds += t2 - t1
-        with tracer.span("stage:fix"):
+        with stats.stage("fix"):
             if self.options.suggest_fixes:
                 try:
                     fixes = self.fixer.fix(ranked, context)
@@ -367,10 +356,7 @@ class SQLCheck:
                     fixes = []
             else:
                 fixes = []
-        stats.fix_seconds += now() - t2
         stats.statements = detection_report.queries_analyzed
-        if stats.total_seconds == 0.0:
-            stats.total_seconds = stats.stage_seconds_sum()
         observe_stage_seconds(stats)
         return SQLCheckReport(
             detections=ranked,
@@ -455,17 +441,12 @@ class SQLCheck:
             else:
                 reason = REASON_SMALL_INPUT
             batch.stats.parallel_mode = serial_mode(requested, reason)
-        # Batch-level mode and semantics describe how THIS batch dispatched
-        # its corpora — the per-corpus runs are serial by construction, so
-        # merging must not fold their labels (or their corpora counts, which
-        # the merge now sums) into the batch's own.
-        mode = batch.stats.parallel_mode
-        semantics = batch.stats.stage_semantics
+        # The merge adds the per-corpus counts and stage times and leaves
+        # the batch's own mode and semantics alone; the corpus count is the
+        # batch's (each corpus's stats count itself once).
         for report in batch.reports.values():
             if report.stats is not None:
                 batch.stats.merge(report.stats)
-        batch.stats.parallel_mode = mode
-        batch.stats.stage_semantics = semantics
         batch.stats.corpora = len(items)
         batch.stats.total_seconds = now() - start
         return batch

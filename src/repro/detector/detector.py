@@ -30,13 +30,13 @@ from ..errors import (
     SourceUnavailableError,
 )
 from ..model.detection import Detection, DetectionReport
-from ..obs import get_metrics, get_tracer, now, observe_stage_seconds
+from ..obs import PipelineStats, get_metrics, get_tracer, observe_stage_seconds
 from ..rules.base import RuleContext
 from ..rules.registry import RuleRegistry, default_registry
 from ..rules.thresholds import Thresholds
 from ..sqlparser import AnnotationCache, ParsedStatement, QueryAnnotation
 from ..sqlparser.dialects import Dialect
-from .pipeline import MODE_PERSISTENT_REPLAY, PipelineStats
+from .pipeline import MODE_PERSISTENT_REPLAY
 
 
 @dataclass
@@ -112,7 +112,7 @@ class APDetector:
     Entry points: :meth:`detect` (queries + optional live database →
     :class:`~repro.model.detection.DetectionReport`), :meth:`detect_batch`
     (statement list or script → report and
-    :class:`~repro.detector.pipeline.PipelineStats`), :meth:`stream`
+    :class:`~repro.obs.PipelineStats`), :meth:`stream`
     (yield detections as statements are analysed), and
     :meth:`detect_in_context` for a pre-built application context.
 
@@ -192,11 +192,15 @@ class APDetector:
 
         Errors already quarantined while building the context (parse
         failures, skipped log lines, unreachable sources) are carried onto
-        the report, joined by any rule failures quarantined here.
+        the report, joined by any rule failures quarantined here.  The memo
+        counts its own lookups; ``stats`` receives the run's hits and misses
+        (the delta of ``memo.stats``).
         """
         errors: "list[PipelineError]" = list(context.errors)
         sink = errors if self.config.quarantine else None
-        detections = list(self._iter_detections(context, stats=stats, errors=sink))
+        memo = self.memo.stats
+        hits, misses = memo.hits, memo.misses
+        detections = list(self._iter_detections(context, errors=sink))
         report = DetectionReport(
             detections=detections,
             queries_analyzed=len(context.queries),
@@ -204,6 +208,8 @@ class APDetector:
             errors=errors,
         )
         if stats is not None:
+            stats.memo_hits += memo.hits - hits
+            stats.memo_misses += memo.misses - misses
             stats.errors.extend(errors)
         if self.config.deduplicate:
             report.detections = report.deduplicated()
@@ -225,37 +231,26 @@ class APDetector:
         if not isinstance(queries, str):
             queries = list(queries)
         stats = PipelineStats()
-        tracer = get_tracer()
-
-        # Whole-corpus replay: when a prior clean run of this exact input
-        # (ordered exact texts + registry digest + thresholds + flags +
-        # source) is in the persistent store, serve its final detections
-        # without parsing anything — this is what makes a warm *restart*
-        # comparable to the in-memory warm path.
         corpus_key = self._corpus_key(queries, source)
-        if corpus_key is not None:
-            replayed = self._replay_corpus(corpus_key, stats, tracer)
-            if replayed is not None:
-                return replayed, stats
-
-        with tracer.span("detect_batch") as batch_span:
-            start = now()
-            # The builder times parse and context with shared boundary
-            # timestamps; detect starts where it stopped, so total ≡ sum of
-            # stages (the accounting invariant the conformance oracle checks).
+        with get_tracer().span("detect_batch") as batch_span:
+            # Whole-corpus replay: when a prior clean run of this exact input
+            # (ordered exact texts + registry digest + thresholds + flags +
+            # source) is in the persistent store, serve its final detections
+            # without parsing anything — this is what makes a warm *restart*
+            # comparable to the in-memory warm path.
+            if corpus_key is not None:
+                replayed = self._replay_corpus(corpus_key, stats)
+                if replayed is not None:
+                    return replayed, stats
             context = self._builder.build(
                 queries, source=source, stats=stats, quarantine=self.config.quarantine
             )
             if batch_span is not None:
                 batch_span.attributes["statements"] = len(context.queries)
-            t2 = now()
-            with tracer.span("stage:detect"):
+            with stats.stage("detect"):
                 report = self.detect_in_context(context, stats=stats)
-            t3 = now()
-            stats.detect_seconds = t3 - t2
 
         stats.statements = len(context.queries)
-        stats.total_seconds = t3 - start
         if corpus_key is not None and not report.errors:
             # Only clean runs are replayable: a quarantined parse or rule
             # failure carries error records a replay could not reproduce.
@@ -306,7 +301,6 @@ class APDetector:
     def _iter_detections(
         self,
         context: ApplicationContext,
-        stats: PipelineStats | None = None,
         errors: "list[PipelineError] | None" = None,
     ) -> Iterator[Detection]:
         """Yield kept detections statement by statement, then table by table.
@@ -332,7 +326,7 @@ class APDetector:
         # Query analysis (Algorithm 2): rules chosen by statement type.
         for annotation in context.queries:
             for detection in self._detect_statement(
-                annotation, rule_context, memo_scope, stats, errors
+                annotation, rule_context, memo_scope, errors
             ):
                 if detection.confidence >= threshold:
                     yield detection
@@ -392,7 +386,6 @@ class APDetector:
         annotation: QueryAnnotation,
         rule_context: RuleContext,
         memo_scope: "str | None",
-        stats: PipelineStats | None,
         errors: "list[PipelineError] | None" = None,
     ) -> list[Detection]:
         statement = annotation.statement
@@ -403,15 +396,7 @@ class APDetector:
             # stored results are byte-identical by construction.
             cached = self.memo.get(annotation.raw, scope=memo_scope)
             if cached is not None:
-                if stats is not None:
-                    stats.memo_hits += 1
-                if metrics.enabled:
-                    metrics.memo_lookups.inc_single("hit")
                 return [self._replay(d, annotation) for d in cached]
-            if stats is not None:
-                stats.memo_misses += 1
-            if metrics.enabled:
-                metrics.memo_lookups.inc_single("miss")
         detections: list[Detection] = []
         quarantined = False
         # Algorithm 2's RulesForQuery, narrowed by the trigger automaton:
@@ -516,11 +501,14 @@ class APDetector:
         return digest.hexdigest()
 
     def _replay_corpus(
-        self, corpus_key: str, stats: PipelineStats, tracer
+        self, corpus_key: str, stats: PipelineStats
     ) -> "DetectionReport | None":
-        """Serve a whole ``detect_batch`` run from the store, or ``None``."""
-        with tracer.span("detect_batch:persistent-replay"):
-            start = now()
+        """Serve a whole ``detect_batch`` run from the store, or ``None``.
+
+        The lookup is the run's first detect stage, hit or miss: a miss's
+        lookup counts toward detect, ahead of the parse that follows it.
+        """
+        with get_tracer().span("detect_batch:persistent-replay"), stats.stage("detect"):
             cached = self.persistent.get_corpus(corpus_key)
             if cached is None:
                 return None
@@ -534,15 +522,10 @@ class APDetector:
                 tables_analyzed=cached["tables_analyzed"],
                 errors=[],
             )
-            end = now()
         stats.statements = cached["queries_analyzed"]
+        # Every statement's results came from the store.
         stats.memo_hits = cached["queries_analyzed"]
         stats.parallel_mode = MODE_PERSISTENT_REPLAY
-        # Everything that elapsed was the replay lookup; attribute it all to
-        # the detect stage so total ≡ sum-of-stages (the stats-accounting
-        # oracle) holds on this path too.
-        stats.detect_seconds = end - start
-        stats.total_seconds = end - start
         observe_stage_seconds(stats)
         return report
 

@@ -27,9 +27,8 @@ from typing import Any, Iterable, Iterator
 from ..catalog.schema import Schema
 from ..context.application_context import ApplicationContext
 from ..core.sqlcheck import SQLCheck, SQLCheckOptions, SQLCheckReport
-from ..detector.pipeline import PipelineStats
 from ..errors import CODE_CIRCUIT_OPEN, CODE_SOURCE_UNAVAILABLE, PipelineError
-from ..obs import get_tracer, now
+from ..obs import PipelineStats, get_tracer
 from .connectors import CircuitOpenError, Connector, ConnectorError, connect
 from .log_readers import read_workload_log
 from .workload_log import WorkloadLog, statement_key
@@ -158,20 +157,18 @@ class LiveScanner:
             connector.name if connector is not None else None
         )
         quarantine = toolchain.options.detector.quarantine
-        tracer = get_tracer()
-        with tracer.span("scan", source=label), sampling:
-            start = now()
+        with get_tracer().span("scan", source=label), sampling:
             statements = log.statements() if log is not None else []
             context = builder.build(statements, source=label, stats=stats, quarantine=quarantine)
             if log is not None and log.errors:
                 # Malformed-line records from the degraded log read travel with
                 # the context so every report surface can account for them.
                 context.errors.extend(log.errors)
-            if connector is not None:
-                # Introspection and profiling are context work: one
-                # stage:context span holds them and the connector:* calls.
-                with tracer.span("stage:context"):
-                    t_live = now()
+            # Introspection, profiling and the log's workload facts are
+            # context work: one more context stage holds them and the
+            # connector:* calls.
+            with stats.stage("context"):
+                if connector is not None:
                     # An unusable database input fails hard here (nothing to
                     # degrade to); only *later* source loss degrades the scan.
                     live_schema = connector.schema()
@@ -212,12 +209,9 @@ class LiveScanner:
                                 detail={"verdict": "skipped: source unavailable"},
                             )
                         )
-                    stats.context_seconds += now() - t_live
-            if log is not None:
-                assign_frequencies(context, log)
-            report = toolchain.check_context(context, stats=stats)
-            stats.total_seconds = now() - start
-        return report
+                if log is not None:
+                    assign_frequencies(context, log)
+            return toolchain.check_context(context, stats=stats)
 
     def stream(
         self,
@@ -249,7 +243,8 @@ class LiveScanner:
                 stats=stats,
                 quarantine=self.toolchain.options.detector.quarantine,
             )
-            assign_frequencies(context, piece)
+            with stats.stage("context"):
+                assign_frequencies(context, piece)
             yield self.toolchain.check_context(context, stats=stats)
 
     def stream_detect(

@@ -7,6 +7,9 @@ The telemetry subsystem behind the ROADMAP's always-on-fleet north star:
   (``sqlcheck ... --trace FILE``); also home of :data:`now`, the one
   sanctioned monotonic clock (``tests/conformance/test_timing_hygiene.py``
   forbids raw ``time.perf_counter()`` elsewhere);
+* :mod:`repro.obs.stats` — :class:`PipelineStats`, one run's stage
+  timings and cache accounting, timed by its one stage clock
+  (``with stats.stage(name):``), which also opens the ``stage:*`` spans;
 * :mod:`repro.obs.metrics` — the process-wide registry of counters,
   gauges, and fixed-bucket histograms instrumenting the hot paths
   (caches, pre-filter, per-rule latency, quarantine, connectors,
@@ -33,11 +36,13 @@ from .metrics import (
 )
 from .prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from .prometheus import render_prometheus
+from .stats import PipelineStats
 from .trace import Span, Tracer, get_tracer, now
 
 __all__ = [
     "MetricsRegistry",
     "PROMETHEUS_CONTENT_TYPE",
+    "PipelineStats",
     "Span",
     "Tracer",
     "attach_snapshot",

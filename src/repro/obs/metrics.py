@@ -273,7 +273,8 @@ class MetricsRegistry:
         return instrument
 
     def _declare_defaults(self) -> None:
-        # caches: the two lookup paths whose hit rates decide cold vs. warm
+        # caches: the two lookup paths whose hit rates decide cold vs. warm,
+        # counted by the cache itself (``AnnotationCache.get``)
         self.annotation_cache_lookups = self.counter(
             f"{NAMESPACE}_annotation_cache_lookups_total",
             "Annotation-cache lookups by result (hit/miss).",

@@ -52,24 +52,10 @@ def profile_corpus(
         "quarantined": {},
     }
     if stats is not None:
-        payload["stages"] = {
-            "parse": round(stats.parse_seconds, 6),
-            "context": round(stats.context_seconds, 6),
-            "detect": round(stats.detect_seconds, 6),
-            "rank": round(stats.rank_seconds, 6),
-            "fix": round(stats.fix_seconds, 6),
-        }
+        summary = stats.to_dict()
+        payload["stages"] = summary["stages"]
         payload["caches"] = {
-            "annotation_cache": {
-                "hits": stats.annotation_cache_hits,
-                "misses": stats.annotation_cache_misses,
-                "hit_rate": round(stats.annotation_cache_hit_rate, 4),
-            },
-            "detection_memo": {
-                "hits": stats.memo_hits,
-                "misses": stats.memo_misses,
-                "hit_rate": round(stats.memo_hit_rate, 4),
-            },
+            name: summary[name] for name in ("annotation_cache", "detection_memo")
         }
     selected = registry.prefilter_rules.value(outcome="selected")
     skipped = registry.prefilter_rules.value(outcome="skipped")

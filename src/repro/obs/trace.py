@@ -12,7 +12,10 @@ its corpus pool, so every span of a traced run is recorded here.
 
 ``now`` is the one sanctioned monotonic clock for pipeline timing — the
 timing-hygiene conformance test forbids raw clock reads outside this
-package, so all new timing flows through here.
+package and reads of ``now`` outside it beyond two allowlisted sites, so
+all new timing flows through here.  ``stage:*`` spans are opened only by
+the stage clock (:meth:`repro.obs.stats.PipelineStats.stage`), at the
+readings its stats account with.
 """
 from __future__ import annotations
 
@@ -153,35 +156,14 @@ class Tracer:
             return _NOOP_SPAN
         return _SpanContext(self, name, attributes)
 
-    def record(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        *,
-        parent: "Span | None" = None,
-        **attributes: Any,
-    ) -> "Span | None":
-        """Add a pre-timed span (``start``/``end`` from :data:`now`).
-
-        Used for stage spans measured with shared boundary timestamps —
-        the exact timestamps ``PipelineStats`` accounts with, so spans and
-        stats never disagree.  Parents to the current span unless an
-        explicit ``parent`` is given.
-        """
+    def record(self, name: str, start: float, end: float, **attributes: Any) -> "Span | None":
+        """Add a pre-timed child of the current span (``start``/``end``
+        from :data:`now`).  Used by the rule timing hook, whose two
+        readings also feed the per-rule latency histogram."""
         if not self.enabled:
             return None
-        if parent is None and self._stack:
-            parent = self._stack[-1]
-        span = Span(
-            name,
-            self._allocate_id(),
-            parent.span_id if parent is not None else None,
-            start - self._epoch_perf,
-            end - self._epoch_perf,
-            dict(attributes),
-        )
-        self._append(span)
+        span = self._open(name, attributes, start)
+        self._close(span, end)
         return span
 
     def current(self) -> "Span | None":
@@ -195,20 +177,25 @@ class Tracer:
         self._next_id += 1
         return span_id
 
-    def _open(self, name: str, attributes: "dict[str, Any]") -> Span:
+    def _open(
+        self, name: str, attributes: "dict[str, Any]", start: "float | None" = None
+    ) -> Span:
+        """Open a span as a child of the current one; ``start`` is a
+        :data:`now` reading taken by the caller (the stage clock), else
+        the clock is read here."""
         parent = self._stack[-1] if self._stack else None
         span = Span(
             name,
             self._allocate_id(),
             parent.span_id if parent is not None else None,
-            now() - self._epoch_perf,
+            (now() if start is None else start) - self._epoch_perf,
             attributes=dict(attributes),
         )
         self._stack.append(span)
         return span
 
-    def _close(self, span: Span) -> None:
-        span.end = now() - self._epoch_perf
+    def _close(self, span: Span, end: "float | None" = None) -> None:
+        span.end = (now() if end is None else end) - self._epoch_perf
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
         elif span in self._stack:  # mispaired exits: drop through to it

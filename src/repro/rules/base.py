@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..context.application_context import ApplicationContext
 from ..model.antipatterns import AntiPattern
@@ -276,6 +276,34 @@ class Rule(abc.ABC):
         """
         return ()
 
+    def _timed_check(
+        self, check, subject, context: RuleContext, **attributes: Any
+    ) -> list[Detection]:
+        """Run ``check(subject, context)`` under the rule timing hook.
+
+        The detector calls every rule through this hook (via
+        ``observed_check``/``observed_check_table``) so each invocation
+        feeds the per-rule latency histogram and fire counter, and — when
+        tracing — a ``rule:<name>`` span carrying ``attributes``.
+        Byte-transparent by construction: the return value and any
+        exception are ``check``'s, untouched; with metrics and tracing both
+        off it reads no clock.
+        """
+        metrics = get_metrics()
+        tracer = get_tracer()
+        if not metrics.enabled and not tracer.enabled:
+            return check(subject, context)
+        t0 = now()
+        found = check(subject, context)
+        t1 = now()
+        if metrics.enabled:
+            metrics.rule_check_seconds.observe_single(t1 - t0, self.name)
+            if found:
+                metrics.rule_fires.inc_single(self.name, len(found))
+        if tracer.enabled:
+            tracer.record(f"rule:{self.name}", t0, t1, fired=len(found), **attributes)
+        return found
+
     def make_detection(
         self,
         *,
@@ -333,29 +361,8 @@ class QueryRule(Rule):
     def observed_check(
         self, annotation: QueryAnnotation, context: RuleContext
     ) -> list[Detection]:
-        """:meth:`check` under the rule timing hook.
-
-        The detector calls this instead of :meth:`check` so every rule
-        invocation feeds the per-rule latency histogram and fire counter,
-        and — when tracing — a ``rule:<name>`` span.  Byte-transparent by
-        construction: the return value and any exception are ``check``'s,
-        untouched; with metrics and tracing both off this is one extra
-        method call on top of ``check``.
-        """
-        metrics = get_metrics()
-        tracer = get_tracer()
-        if not metrics.enabled and not tracer.enabled:
-            return self.check(annotation, context)
-        t0 = now()
-        found = self.check(annotation, context)
-        t1 = now()
-        if metrics.enabled:
-            metrics.rule_check_seconds.observe_single(t1 - t0, self.name)
-            if found:
-                metrics.rule_fires.inc_single(self.name, len(found))
-        if tracer.enabled:
-            tracer.record(f"rule:{self.name}", t0, t1, fired=len(found))
-        return found
+        """:meth:`check` under the rule timing hook (:meth:`Rule._timed_check`)."""
+        return self._timed_check(self.check, annotation, context)
 
 
 class DataRule(Rule):
@@ -368,22 +375,6 @@ class DataRule(Rule):
     def observed_check_table(
         self, profile: TableProfile, context: RuleContext
     ) -> list[Detection]:
-        """:meth:`check_table` under the rule timing hook (see
-        :meth:`QueryRule.observed_check` for the transparency contract)."""
-        metrics = get_metrics()
-        tracer = get_tracer()
-        if not metrics.enabled and not tracer.enabled:
-            return self.check_table(profile, context)
-        t0 = now()
-        found = self.check_table(profile, context)
-        t1 = now()
-        if metrics.enabled:
-            metrics.rule_check_seconds.observe_single(t1 - t0, self.name)
-            if found:
-                metrics.rule_fires.inc_single(self.name, len(found))
-        if tracer.enabled:
-            tracer.record(
-                f"rule:{self.name}", t0, t1, fired=len(found), table=profile.name
-            )
-        return found
-
+        """:meth:`check_table` under the rule timing hook
+        (:meth:`Rule._timed_check`); the span names the table."""
+        return self._timed_check(self.check_table, profile, context, table=profile.name)

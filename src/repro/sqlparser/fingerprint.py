@@ -27,6 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from ..obs.metrics import get_metrics
 from .lexer import tokenize
 from .tokens import Token, TokenType
 
@@ -76,9 +77,14 @@ def fingerprint(sql: "str | Iterable[Token]") -> str:
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
 
 
+#: the registry counter each cache layer's lookups feed (others: none).
+_LOOKUP_COUNTERS = {"annotations": "annotation_cache_lookups", "memo": "memo_lookups"}
+
+
 @dataclass
 class CacheStats:
-    """Hit/miss counters exposed through :class:`PipelineStats`."""
+    """Hit/miss counters; a run's :class:`~repro.obs.PipelineStats` cache
+    fields are their deltas over the run."""
 
     hits: int = 0
     misses: int = 0
@@ -117,11 +123,15 @@ class AnnotationCache:
     memory without being written back.  A value found in either tier counts
     as one hit.  Every :meth:`put` writes through, buffered until the
     store's next flush.
+
+    :meth:`get` is the one place a lookup is counted: in :attr:`stats`
+    and, for the ``annotations`` (parse cache, the default) and ``memo``
+    layers, in the metrics registry's lookup counters.
     """
 
     maxsize: int = 2048
     store: Any = None
-    layer: str = ""
+    layer: str = "annotations"
     stats: CacheStats = field(default_factory=CacheStats)
     _entries: "OrderedDict[tuple[str, str], object]" = field(
         default_factory=OrderedDict, repr=False
@@ -145,6 +155,9 @@ class AnnotationCache:
             self.stats.misses += 1
         else:
             self.stats.hits += 1
+        counter = _LOOKUP_COUNTERS.get(self.layer)
+        if counter is not None:
+            getattr(get_metrics(), counter).inc_single("miss" if value is None else "hit")
         return value
 
     def put(self, text: str, value: object, scope: str = "") -> None:

@@ -49,9 +49,9 @@ from typing import Sequence
 from ..baselines.dbdeo import DBDEO_ANTI_PATTERNS, DBDeo
 from ..core.sqlcheck import SQLCheck, SQLCheckOptions
 from ..detector.detector import APDetector, DetectorConfig
-from ..detector.pipeline import PipelineStats
 from ..model.antipatterns import AntiPattern
 from ..model.detection import DetectionReport
+from ..obs import PipelineStats
 from ..rules.registry import RuleRegistry, default_registry
 from ..sqlparser import parse
 from .generator import CorpusGenerator, GeneratedStatement

@@ -1,30 +1,14 @@
-"""``PipelineStats.merge``: corpus counting and mode-label integrity.
+"""``PipelineStats.merge``: corpus counting and batch-label integrity.
 
 Regression tests for a merge that dropped ``corpora`` (every batch
-reported ``corpora: 1`` no matter how many corpora were merged in) and
-silently kept the left side's ``parallel_mode``/``stage_semantics`` when
-the merged runs took different paths.
+reported ``corpora: 1`` no matter how many corpora were merged in).  The
+merge leaves ``parallel_mode``/``stage_semantics`` to its caller:
+``check_many`` sets the batch's own.
 """
 from __future__ import annotations
 
 from repro.core.sqlcheck import SQLCheck
-from repro.detector.pipeline import PipelineStats, merged_label
-
-
-class TestMergedLabel:
-    def test_identical_labels_stay_plain(self):
-        assert merged_label("serial", "serial") == "serial"
-
-    def test_differing_labels_become_mixed(self):
-        assert merged_label("process-pool", "serial") == "mixed(process-pool, serial)"
-
-    def test_mixed_labels_unwrap_instead_of_nesting(self):
-        first = merged_label("process-pool", "serial")
-        again = merged_label(first, "serial")
-        assert again == "mixed(process-pool, serial)"
-        widened = merged_label(first, "serial-fallback")
-        assert widened == "mixed(process-pool, serial, serial-fallback)"
-        assert "mixed(mixed" not in merged_label(first, first)
+from repro.detector.pipeline import PipelineStats
 
 
 class TestStatsMerge:
@@ -43,22 +27,6 @@ class TestStatsMerge:
         left = PipelineStats()
         left.merge(right)
         assert left.corpora == 3
-
-    def test_mode_mismatch_is_surfaced(self):
-        left = PipelineStats(parallel_mode="process-pool")
-        left.merge(PipelineStats(parallel_mode="serial"))
-        assert left.parallel_mode == "mixed(process-pool, serial)"
-
-    def test_semantics_mismatch_is_surfaced(self):
-        left = PipelineStats(stage_semantics="cpu-aggregate")
-        left.merge(PipelineStats(stage_semantics="wall-clock"))
-        assert left.stage_semantics == "mixed(cpu-aggregate, wall-clock)"
-
-    def test_matching_labels_do_not_degrade(self):
-        left = PipelineStats(parallel_mode="serial")
-        left.merge(PipelineStats(parallel_mode="serial"))
-        assert left.parallel_mode == "serial"
-        assert left.stage_semantics == "wall-clock"
 
     def test_merge_still_accumulates_timings_and_errors(self):
         left = PipelineStats(parse_seconds=0.1, detect_seconds=0.2, errors=["a"])

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.detector.detector import APDetector, DetectorConfig
-from repro.obs import get_tracer, now
+from repro.obs import now
 from repro.obs.trace import DEFAULT_MAX_SPANS, SCHEMA_VERSION, Tracer
 from repro.testkit.generator import CorpusGenerator
 
@@ -14,16 +14,6 @@ from repro.testkit.generator import CorpusGenerator
 @pytest.fixture
 def tracer():
     return Tracer(enabled=True)
-
-
-@pytest.fixture
-def process_tracer():
-    """The process-wide tracer, enabled for one test and always restored."""
-    shared = get_tracer()
-    shared.enable(reset=True)
-    yield shared
-    shared.disable()
-    shared.reset()
 
 
 class TestTracerCore:
