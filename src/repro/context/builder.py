@@ -19,11 +19,8 @@ from ..profiler.profiler import DataProfiler
 from ..profiler.sampler import Sampler
 from ..sqlparser import AnnotationCache, ParsedStatement, QueryAnnotation, annotate, parse
 from ..sqlparser.dialects import Dialect, get_dialect
+from ..sqlparser.fingerprint import MAX_CACHED_STATEMENTS
 from .application_context import ApplicationContext
-
-#: Multi-statement texts longer than this are parsed but not cached — one
-#: cache entry per whole script pins too much memory for too little reuse.
-_MAX_CACHED_SCRIPT_STATEMENTS = 16
 
 
 class ContextBuilder:
@@ -256,7 +253,7 @@ class ContextBuilder:
             # entry would pin an entire corpus parse tree, and any edit to
             # the script misses it anyway.  Per-statement reuse comes from
             # list-of-statements inputs (the batch paths).
-            if len(statements) > _MAX_CACHED_SCRIPT_STATEMENTS:
+            if len(statements) > MAX_CACHED_STATEMENTS:
                 return [(s, annotate(s), None) for s in statements]
             # The table is a function of its statement alone, so it is
             # derived once here and lives (and is evicted) with its template.

@@ -9,11 +9,15 @@ Corpus-scale additions: every run records per-stage timings in a
 :class:`PipelineStats`, and :meth:`SQLCheck.check_many` fans independent
 corpora (repositories, applications, files) out over a process pool —
 each corpus is an independent application context, so per-corpus results
-are identical to running :meth:`check` on it directly.
+are identical to running :meth:`check` on it directly.  An exact repeat of
+a small clean :meth:`SQLCheck.check` input is answered from an in-memory
+replay layer of finished reports, without running the pipeline.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,10 +25,12 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from ..context.application_context import ApplicationContext
 from ..detector.detector import APDetector, DetectorConfig
+from ..detector.persist import _dumps
 from ..errors import CODE_FIX_ERROR, CODE_RANK_ERROR, PipelineError
 from ..detector.pipeline import (
     MIN_PARALLEL_STATEMENTS,
     MODE_PROCESS_POOL,
+    MODE_REPLAY,
     REASON_EXECUTOR_ERROR,
     REASON_SINGLE_CORPUS,
     REASON_SINGLE_CPU,
@@ -44,6 +50,8 @@ from ..ranking.metrics import APMetrics
 from ..ranking.ranker import APRanker, RankedDetection
 from ..rules.registry import RuleRegistry, default_registry
 from ..rules.thresholds import Thresholds
+from ..sqlparser import AnnotationCache
+from ..sqlparser.fingerprint import MAX_CACHED_STATEMENTS
 
 
 @dataclass
@@ -279,6 +287,13 @@ class SQLCheck:
         # The detector's builder, so check() and detect() share one parse
         # cache; LiveScanner and the offline oracles build contexts with it.
         self._builder = self.detector._builder
+        # check()'s replay layer: finished reports of small clean runs,
+        # pickled, under APDetector.input_key plus what rank and fix read.
+        config = self.options.detector
+        self.replays: AnnotationCache | None = (
+            AnnotationCache(config.cache_size, layer="replay") if config.enable_cache else None
+        )
+        self._replay_settings: "tuple[int, tuple | None]" = (0, None)
 
     # ------------------------------------------------------------------
     # public API
@@ -289,9 +304,28 @@ class SQLCheck:
         database: Any | None = None,
         source: str | None = None,
     ) -> SQLCheckReport:
-        """Run the full pipeline over queries and an optional database."""
+        """Run the full pipeline over queries and an optional database.
+
+        Without a database, a script or a list of statement texts is first
+        looked up in the replay layer (:attr:`replays`, off with
+        ``enable_cache=False``).  A hit is the finished report of an
+        earlier run over the same exact input under the same rules,
+        thresholds, flags, dialect, ``source``, ranking and fix settings:
+        it is unpickled fresh and nothing is parsed, detected, ranked or
+        fixed.  Its stats hold one detect stage, ``parallel_mode ==
+        "replay"``.  A run is stored when it quarantined nothing and
+        analysed at most :data:`~repro.sqlparser.fingerprint.MAX_CACHED_STATEMENTS`
+        statements.
+        """
         stats = PipelineStats()
         with get_tracer().span("check", source=source):
+            key = None
+            if self.replays is not None and database is None:
+                if not isinstance(queries, str):
+                    queries = list(queries)
+                key, report = self._replay(queries, source, stats)
+                if report is not None:
+                    return report
             context = self._builder.build(
                 queries,
                 database=database,
@@ -299,7 +333,73 @@ class SQLCheck:
                 stats=stats,
                 quarantine=self.options.detector.quarantine,
             )
-            return self.check_context(context, stats=stats)
+            report = self._finish(context, stats)
+            if (
+                key is not None
+                and not report.errors
+                and report.queries_analyzed <= MAX_CACHED_STATEMENTS
+            ):
+                # The pickle is the run's last work; the fix stage holds it.
+                with stats.stage("fix"):
+                    self._store(key, report)
+            observe_stage_seconds(stats)
+            return report
+
+    def _replay(
+        self, queries: "Sequence[str] | str", source: "str | None", stats: PipelineStats
+    ) -> "tuple[str | None, SQLCheckReport | None]":
+        """Look ``queries`` up in the replay layer: ``(key, report or None)``.
+
+        The lookup is the run's first detect stage, hit or miss; a replayed
+        run ends with it and is folded into the metrics registry here.
+        """
+        with get_tracer().span("check:replay"), stats.stage("detect"):
+            key = self.detector.input_key(queries, source, self._replay_scope())
+            blob = self.replays.get(key) if key is not None else None
+            report = pickle.loads(blob) if blob is not None else None
+        if report is not None:
+            report.stats = stats
+            stats.statements = report.queries_analyzed
+            stats.parallel_mode = MODE_REPLAY
+            observe_stage_seconds(stats)
+        return key, report
+
+    def _replay_scope(self) -> bytes:
+        """What rank and fix read besides the detections, for replay keys.
+
+        The ranking config, metric table, ``suggest_fixes``, cost model
+        and fix rules are compared with a copy of their values at the last
+        call (about 1 µs; a repr of the 27-entry metric table alone takes
+        about 60 µs).  Any difference starts a new generation, and the
+        key carries the generation.  The copy holds the fix rules
+        themselves, so a rule is compared by identity, never by an id a
+        new object could reuse.
+        """
+        ranker = self.ranker
+        settings = (
+            ranker.config,
+            ranker.metrics,
+            self.options.suggest_fixes,
+            resolve_cost_model(self.options.cost_model).describe(),
+            self.fixer.engine.rules,
+        )
+        generation, seen = self._replay_settings
+        if settings != seen:
+            generation += 1
+            config, metrics, suggest, model, rules = settings
+            self._replay_settings = (
+                generation,
+                (config, dict(metrics), suggest, model, list(rules)),
+            )
+        return generation.to_bytes(8, "little")
+
+    def _store(self, key: str, report: SQLCheckReport) -> None:
+        """Keep ``report`` in the replay layer as bytes, never as objects:
+        each hit unpickles a fresh copy, so a caller that mutates its
+        report cannot reach the stored one."""
+        blob = _dumps(dataclasses.replace(report, stats=None))
+        if blob is not None:  # an unpicklable report is simply not kept
+            self.replays.put(key, blob)
 
     def check_context(
         self, context: ApplicationContext, stats: PipelineStats | None = None
@@ -312,6 +412,12 @@ class SQLCheck:
         the stages it already timed (a built context's parse and context).
         """
         stats = stats if stats is not None else PipelineStats()
+        report = self._finish(context, stats)
+        observe_stage_seconds(stats)
+        return report
+
+    def _finish(self, context: ApplicationContext, stats: PipelineStats) -> SQLCheckReport:
+        """Detect, rank and fix over a built context, under ``stats``' clock."""
         with stats.stage("detect"):
             detection_report = self.detector.detect_in_context(context, stats=stats)
         quarantine = self.options.detector.quarantine
@@ -357,7 +463,6 @@ class SQLCheck:
             else:
                 fixes = []
         stats.statements = detection_report.queries_analyzed
-        observe_stage_seconds(stats)
         return SQLCheckReport(
             detections=ranked,
             fixes=fixes,

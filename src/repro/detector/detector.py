@@ -11,7 +11,9 @@ statement text under a memo scope (registry content digest, thresholds,
 analysis flags, dialect and, with inter-query analysis on, the workload),
 so repeated statements are detected once and replayed cheaply, and
 :meth:`detect_batch` reports per-stage timings in a :class:`PipelineStats`
-and replays a whole clean run from the persistent store.
+and replays a whole clean run from the persistent store under
+:meth:`APDetector.input_key`, the key ``SQLCheck.check``'s in-memory
+replay layer shares.
 """
 from __future__ import annotations
 
@@ -179,11 +181,24 @@ class APDetector:
         database: Any | None = None,
         source: str | None = None,
     ) -> DetectionReport:
-        """Run detection over queries and (optionally) a live database."""
+        """Run detection over queries and (optionally) a live database.
+
+        The run is timed by its own :class:`PipelineStats` and folded into
+        the metrics registry once, like every other entry point.
+        """
+        stats = PipelineStats()
         context = self._builder.build(
-            queries, database=database, source=source, quarantine=self.config.quarantine
+            queries,
+            database=database,
+            source=source,
+            stats=stats,
+            quarantine=self.config.quarantine,
         )
-        return self.detect_in_context(context)
+        with stats.stage("detect"):
+            report = self.detect_in_context(context, stats=stats)
+        stats.statements = report.queries_analyzed
+        observe_stage_seconds(stats)
+        return report
 
     def detect_in_context(
         self, context: ApplicationContext, stats: PipelineStats | None = None
@@ -231,7 +246,7 @@ class APDetector:
         if not isinstance(queries, str):
             queries = list(queries)
         stats = PipelineStats()
-        corpus_key = self._corpus_key(queries, source)
+        corpus_key = self.input_key(queries, source) if self.persistent is not None else None
         with get_tracer().span("detect_batch") as batch_span:
             # Whole-corpus replay: when a prior clean run of this exact input
             # (ordered exact texts + registry digest + thresholds + flags +
@@ -289,11 +304,26 @@ class APDetector:
         they occur).  With quarantine off, failures propagate as before.
         """
         quarantine = self.config.quarantine
-        context = self._builder.build(queries, source=source, quarantine=quarantine)
+        stats = PipelineStats()
+        context = self._builder.build(
+            queries, source=source, stats=stats, quarantine=quarantine
+        )
         sink = errors if errors is not None else ([] if quarantine else None)
         if sink is not None:
             sink.extend(context.errors)
-        yield from self._iter_detections(context, errors=sink if quarantine else None)
+        # Each step to the next detection is a detect stage.  A stage starts
+        # where the previous one ended, so the consumer's time between
+        # yields counts toward detect and the stages still tile the run.  An
+        # exhausted stream folds its run into the metrics registry once.
+        detections = self._iter_detections(context, errors=sink if quarantine else None)
+        while True:
+            with stats.stage("detect"):
+                detection = next(detections, None)
+            if detection is None:
+                break
+            yield detection
+        stats.statements = len(context.queries)
+        observe_stage_seconds(stats)
 
     # ------------------------------------------------------------------
     # detection core (streaming)
@@ -466,22 +496,23 @@ class APDetector:
         )
 
     # ------------------------------------------------------------------
-    # whole-corpus replay (persistent store only)
+    # whole-run keys and the corpus replay (persistent store only)
     # ------------------------------------------------------------------
-    def _corpus_key(
-        self, queries: "Sequence[str] | str", source: "str | None"
+    def input_key(
+        self, queries: "Sequence[str] | str", source: "str | None", scope: bytes = b""
     ) -> "str | None":
-        """Digest identifying one ``detect_batch`` input for whole-run replay.
+        """Digest identifying one run's input, for whole-run replays.
 
-        ``None`` unless a persistent store is attached (or when a list
-        element is not a text).  A script is keyed as one text, apart from
-        the list holding it: its statements keep their positions.  Any rule,
-        threshold, flag, dialect, source, or input change produces a
-        different key, so stale entries are never matched — they just age
-        out of the store.
+        It covers the ordered exact texts, whether the input is one script
+        or a list (a script's statements keep their positions), ``source``,
+        and what detection reads besides the input: the registry content
+        digest, the thresholds, the analysis flags and the dialect.
+        Callers fold in what their later stages read as fixed-length
+        ``scope`` bytes (``SQLCheck`` adds its ranking and fix settings'
+        generation).  ``None`` when a list element is not a text.  Any
+        change to a covered input gives a different key, so stale entries
+        are never matched; they age out.
         """
-        if self.persistent is None:
-            return None
         cfg = self.config
         script = isinstance(queries, str)
         digest = hashlib.blake2b(digest_size=16)
@@ -493,6 +524,7 @@ class APDetector:
             f"{cfg.confidence_threshold!r}|{cfg.deduplicate}|{cfg.quarantine}|"
             f"{self._builder.dialect.name}|{source!r}".encode("utf-8", "replace")
         )
+        digest.update(scope)
         for text in (queries,) if script else queries:
             if not isinstance(text, str):
                 return None

@@ -283,46 +283,34 @@ class PersistentMemo:
                 with self._conn:
                     for table, row in pending:
                         self._conn.execute(self._INSERTS[table], row)
-                    for table in _TABLES:
-                        self._trim(table)
+                    rows = sum(self._trim(table) for table in _TABLES)
             except (sqlite3.Error, OSError):
                 self._io_failure()
                 return
             metrics = get_metrics()
             if metrics.enabled:
-                metrics.persistent_memo_entries.set(self._total_rows())
+                metrics.persistent_memo_entries.set(rows)
 
-    def _trim(self, table: str) -> None:
-        """Keep only ``table``'s ``max_rows`` newest rows (highest rowids).
+    def _trim(self, table: str) -> int:
+        """Keep only ``table``'s ``max_rows`` newest rows (highest rowids)
+        and return how many rows it keeps.
 
         Rowids only grow (``INSERT OR REPLACE`` re-inserts a key at the
-        end), so a rowid span within ``max_rows`` bounds the row count and
-        the trim is skipped after two b-tree seeks; one ``SELECT min(rowid),
-        max(rowid)`` would scan the table instead.  Otherwise one range
-        delete drops the ``(max_rows + 1)``-th newest row and every older
-        one.
+        end), so the oldest rows have the lowest rowids.  One ``COUNT(*)``
+        per table and flush gives the excess, and the delete walks only
+        the excess rows from the low end of the rowid b-tree: its cost
+        grows with the rows deleted, not with the rows kept.
         """
-        (span,) = self._conn.execute(
-            f"SELECT (SELECT max(rowid) FROM {table}) - (SELECT min(rowid) FROM {table}) + 1"
-        ).fetchone()
-        if span is None or span <= self.max_rows:
-            return
+        (count,) = self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
+        excess = count - self.max_rows
+        if excess <= 0:
+            return count
         self._conn.execute(
-            f"DELETE FROM {table} WHERE rowid <= "
-            f"(SELECT rowid FROM {table} ORDER BY rowid DESC LIMIT 1 OFFSET ?)",
-            (self.max_rows,),
+            f"DELETE FROM {table} WHERE rowid IN "
+            f"(SELECT rowid FROM {table} ORDER BY rowid LIMIT ?)",
+            (excess,),
         )
-
-    def _total_rows(self) -> int:
-        if self._conn is None:
-            return 0
-        try:
-            return sum(
-                self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-                for table in _TABLES
-            )
-        except (sqlite3.Error, OSError):
-            return 0
+        return self.max_rows
 
     def info(self) -> dict:
         """Occupancy + counter snapshot for health probes and ``memo_info``."""

@@ -29,6 +29,9 @@ MODE_PROCESS_POOL = "process-pool"
 #: the whole batch was replayed from the persistent corpus memo — no parse,
 #: no rule execution; detection bytes come from a verified prior clean run.
 MODE_PERSISTENT_REPLAY = "persistent-replay"
+#: ``SQLCheck.check`` answered an exact repeat from its in-memory replay
+#: layer: the finished report of an earlier run, with nothing re-run.
+MODE_REPLAY = "replay"
 REASON_SINGLE_CPU = "single-cpu"
 REASON_SMALL_INPUT = "small-input"
 REASON_SINGLE_CORPUS = "single-corpus"

@@ -20,7 +20,7 @@ flows through the cached detection pipeline independently.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -138,27 +138,34 @@ class LiveScanner:
         all is still a hard :class:`ConnectorError`: there is nothing to
         degrade to.
         """
-        connector = connect(database) if database is not None else None
-        log = _coerce_workload(workload, log_format, max_errors=max_errors, strict=strict)
-        if connector is None and log is None:
-            raise ConnectorError("scan needs a database, a workload log, or both")
-        if connector is not None:
-            # The breaker guards one scan's fetch storm, not the connector's
-            # whole lifetime — a later scan gets a fresh chance.
-            connector.reset_circuit()
-        # The cap holds for *every* row fetch in this scan — the profiler
-        # below and any data rule pulling rows later — and for no other.
-        sampling = connector.sampling(sample_limit) if connector is not None else nullcontext()
-
         toolchain = self.toolchain
         builder = toolchain._builder
         stats = PipelineStats()
-        label = source or (log.source if log is not None else None) or (
-            connector.name if connector is not None else None
-        )
         quarantine = toolchain.options.detector.quarantine
-        with get_tracer().span("scan", source=label), sampling:
-            statements = log.statements() if log is not None else []
+        with get_tracer().span("scan") as scan_span, ExitStack() as scope:
+            # Opening the sources and reading the workload log is the scan's
+            # first stage, so its stages cover the whole run.
+            with stats.stage("ingest"):
+                connector = connect(database) if database is not None else None
+                log = _coerce_workload(
+                    workload, log_format, max_errors=max_errors, strict=strict
+                )
+                statements = log.statements() if log is not None else []
+            if connector is None and log is None:
+                raise ConnectorError("scan needs a database, a workload log, or both")
+            label = source or (log.source if log is not None else None) or (
+                connector.name if connector is not None else None
+            )
+            if scan_span is not None:
+                scan_span.attributes["source"] = label
+            if connector is not None:
+                # The breaker guards one scan's fetch storm, not the
+                # connector's whole lifetime — a later scan gets a fresh chance.
+                connector.reset_circuit()
+                # The cap holds for *every* row fetch in this scan — the
+                # profiler below and any data rule pulling rows later — and
+                # for no other.
+                scope.enter_context(connector.sampling(sample_limit))
             context = builder.build(statements, source=label, stats=stats, quarantine=quarantine)
             if log is not None and log.errors:
                 # Malformed-line records from the degraded log read travel with

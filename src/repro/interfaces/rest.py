@@ -38,15 +38,17 @@ by the standard library's ``http.server``:
   structured :class:`~repro.rules.base.RuleDoc`;
 * ``GET  /api/antipatterns`` — the supported anti-pattern catalog;
 * ``GET  /api/health`` — liveness probe, now reporting the service state:
-  in-flight requests, draining flag, and per-toolchain cache/memo
-  occupancy (including the persistent memo, when configured).
+  in-flight requests, draining flag, and per-toolchain occupancy of the
+  parse cache, the detection memo (with the persistent memo, when
+  configured) and the replay layer of finished reports.
 
 Service core: the server speaks **HTTP/1.1 with keep-alive** (every
 response carries an exact ``Content-Length``), requests are served by a
 shared per-process :class:`ToolchainPool` instead of constructing a
 toolchain per request (warm annotation caches and detection memos persist
 across requests — and across *restarts* when a persistent memo path is
-configured), and :meth:`RestServer.stop` drains in-flight requests before
+configured — and an exact repeat of a small request replays its finished
+report), and :meth:`RestServer.stop` drains in-flight requests before
 closing the sockets.  ``handle_check_request`` and friends contain the
 framework-independent logic so they can be unit-tested without opening a
 socket.
@@ -160,6 +162,8 @@ class ToolchainPool:
             cache = detector.annotation_cache
             if cache is not None:
                 item["annotation_cache"] = cache.info()
+            if toolchain.replays is not None:
+                item["replay"] = toolchain.replays.info()
             toolchains.append(item)
         return {
             "size": len(entries),

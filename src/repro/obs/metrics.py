@@ -273,7 +273,7 @@ class MetricsRegistry:
         return instrument
 
     def _declare_defaults(self) -> None:
-        # caches: the two lookup paths whose hit rates decide cold vs. warm,
+        # caches: the lookup paths whose hit rates decide cold vs. warm,
         # counted by the cache itself (``AnnotationCache.get``)
         self.annotation_cache_lookups = self.counter(
             f"{NAMESPACE}_annotation_cache_lookups_total",
@@ -283,6 +283,12 @@ class MetricsRegistry:
         self.memo_lookups = self.counter(
             f"{NAMESPACE}_detection_memo_lookups_total",
             "Detection-memo lookups by result (hit/miss).",
+            ("result",),
+        )
+        self.replay_lookups = self.counter(
+            f"{NAMESPACE}_replay_lookups_total",
+            "Replay-layer lookups by result (hit/miss): a hit answers a "
+            "check from a finished report without running the pipeline.",
             ("result",),
         )
         self.annotation_cache_entries = self.gauge(
@@ -442,13 +448,15 @@ def observe_stage_seconds(stats) -> None:
     """Fold one run's ``PipelineStats`` stage timings into the registry.
 
     Duck-typed (this module cannot import the detector); call once per
-    completed run.  ``SQLCheck.check_context`` and ``APDetector.detect_batch``
-    do, and a pooled ``check_many`` folds each worker's returned stats in
-    the parent.
+    completed run.  ``SQLCheck.check`` and ``check_context`` do, as do
+    ``APDetector.detect``, ``stream`` and ``detect_batch``, and a pooled
+    ``check_many`` folds each worker's returned stats in the parent.
     """
     registry = _REGISTRY
     if not registry.enabled:
         return
+    if stats.ingest_seconds:  # scans only: other runs have no ingest stage
+        registry.stage_seconds.observe(stats.ingest_seconds, stage="ingest")
     registry.stage_seconds.observe(stats.parse_seconds, stage="parse")
     registry.stage_seconds.observe(stats.context_seconds, stage="context")
     registry.stage_seconds.observe(stats.detect_seconds, stage="detect")

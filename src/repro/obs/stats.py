@@ -65,6 +65,8 @@ class PipelineStats:
     """
 
     statements: int = 0
+    #: a scan's workload-log read (and database connect), before parsing.
+    ingest_seconds: float = 0.0
     parse_seconds: float = 0.0
     context_seconds: float = 0.0
     detect_seconds: float = 0.0
@@ -89,9 +91,9 @@ class PipelineStats:
     _mark = None
 
     def stage(self, name: str) -> _StageClock:
-        """Time the ``with`` block as stage ``name`` (``parse``, ``context``,
-        ``detect``, ``rank`` or ``fix``) of this run; see the module
-        docstring."""
+        """Time the ``with`` block as stage ``name`` (``ingest``, ``parse``,
+        ``context``, ``detect``, ``rank`` or ``fix``) of this run; see the
+        module docstring."""
         return _StageClock(self, name)
 
     @property
@@ -100,7 +102,7 @@ class PipelineStats:
         return bool(self.errors)
 
     def stage_seconds_sum(self) -> float:
-        """Sum of the five stage timings.
+        """Sum of the stage timings.
 
         On a run timed by :meth:`stage` the stages tile the run, so this
         equals ``total_seconds`` exactly (up to float rounding) — the
@@ -108,7 +110,8 @@ class PipelineStats:
         (:func:`repro.testkit.oracles.check_stats_accounting`).
         """
         return (
-            self.parse_seconds
+            self.ingest_seconds
+            + self.parse_seconds
             + self.context_seconds
             + self.detect_seconds
             + self.rank_seconds
@@ -136,6 +139,7 @@ class PipelineStats:
         corpus counts add; worker counts take the maximum).  Totals,
         ``parallel_mode`` and ``stage_semantics`` are the caller's."""
         self.statements += other.statements
+        self.ingest_seconds += other.ingest_seconds
         self.parse_seconds += other.parse_seconds
         self.context_seconds += other.context_seconds
         self.detect_seconds += other.detect_seconds
@@ -151,16 +155,20 @@ class PipelineStats:
         return self
 
     def to_dict(self) -> dict:
+        """JSON-friendly form; ``stages`` lists ``ingest`` only for runs
+        that had one (scans)."""
+        stages = {"ingest": round(self.ingest_seconds, 6)} if self.ingest_seconds else {}
+        stages.update(
+            parse=round(self.parse_seconds, 6),
+            context=round(self.context_seconds, 6),
+            detect=round(self.detect_seconds, 6),
+            rank=round(self.rank_seconds, 6),
+            fix=round(self.fix_seconds, 6),
+        )
         return {
             "statements": self.statements,
             "statements_per_second": round(self.statements_per_second, 2),
-            "stages": {
-                "parse": round(self.parse_seconds, 6),
-                "context": round(self.context_seconds, 6),
-                "detect": round(self.detect_seconds, 6),
-                "rank": round(self.rank_seconds, 6),
-                "fix": round(self.fix_seconds, 6),
-            },
+            "stages": stages,
             "total_seconds": round(self.total_seconds, 6),
             "stage_semantics": self.stage_semantics,
             "workers": self.workers,

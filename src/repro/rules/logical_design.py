@@ -17,7 +17,15 @@ from .base import DataRule, QueryRule, RuleContext, RuleDoc, RuleExample, contro
 _ID_LIST_COLUMN_RE = re.compile(r"(_ids?$|_list$|_csv$|ids$)", re.IGNORECASE)
 _GENERIC_PK_NAMES = {"id", "pk", "key", "row_id", "rowid"}
 _PARENT_COLUMN_RE = re.compile(r"^(parent|manager|supervisor|reports_to)(_id)?$", re.IGNORECASE)
-_SELF_REFERENCE_RE = re.compile(r"(\w+)[^,()]*REFERENCES\s+(\w+)", re.IGNORECASE)
+#: ``column ... REFERENCES table`` within one column segment of a column
+#: list.  A match starts only where a segment does (the text's start or
+#: just after ``,``, ``(`` or ``)``), at the segment's first word: a search
+#: from a later start in the same segment can only fail, so one start per
+#: segment finds every match without rescanning the segment from each of
+#: its characters.
+_SELF_REFERENCE_RE = re.compile(
+    r"(?:(?<=[,()])|^)[^\w,()]*(\w+)[^,()]*REFERENCES\s+(\w+)", re.IGNORECASE
+)
 _PARENT_POINTER_RE = re.compile(r"\b(parent_\w+|manager_id|supervisor_id|reports_to)\b", re.IGNORECASE)
 _NUMBERED_COLUMN_RE = re.compile(r"^(?P<prefix>[A-Za-z_]+?)_?(?P<number>\d+)$")
 _CLONE_TABLE_RE = re.compile(r"^(?P<prefix>.+?)_(?P<suffix>\d{1,6})$")

@@ -10,9 +10,10 @@ module holds the two tools the toolchain uses for that:
   idea as ``pg_stat_statements``' queryid), exposed as
   ``ParsedStatement.fingerprint`` and recorded as ``statement_fingerprint``
   provenance on quarantined error records;
-* :class:`AnnotationCache` — one LRU class keyed by exact statement text,
-  with an optional persistent tier.  It backs both the context builder's
-  parse cache and the detector's per-statement detection memo.
+* :class:`AnnotationCache` — one LRU class keyed by exact text, with an
+  optional persistent tier.  It backs the context builder's parse cache,
+  the detector's per-statement detection memo and the toolchain's replay
+  layer of finished reports.
 
 The caches never key on the fingerprint: two statements may share one while
 differing in rule-relevant literal content (``LIKE 'INV-2020%'`` is
@@ -77,8 +78,18 @@ def fingerprint(sql: "str | Iterable[Token]") -> str:
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
 
 
+#: The most statements one cache entry holds whole: the parse cache keeps
+#: a script of at most this many statements as one entry, and the replay
+#: layer keeps the finished report of a run of at most this many.  Beyond
+#: it, one entry pins too much memory for too little reuse.
+MAX_CACHED_STATEMENTS = 16
+
 #: the registry counter each cache layer's lookups feed (others: none).
-_LOOKUP_COUNTERS = {"annotations": "annotation_cache_lookups", "memo": "memo_lookups"}
+_LOOKUP_COUNTERS = {
+    "annotations": "annotation_cache_lookups",
+    "memo": "memo_lookups",
+    "replay": "replay_lookups",
+}
 
 
 @dataclass
@@ -125,8 +136,8 @@ class AnnotationCache:
     store's next flush.
 
     :meth:`get` is the one place a lookup is counted: in :attr:`stats`
-    and, for the ``annotations`` (parse cache, the default) and ``memo``
-    layers, in the metrics registry's lookup counters.
+    and, for the ``annotations`` (parse cache, the default), ``memo`` and
+    ``replay`` layers, in the metrics registry's lookup counters.
     """
 
     maxsize: int = 2048

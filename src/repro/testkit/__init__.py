@@ -47,6 +47,7 @@ from .oracles import (
     check_fixer_round_trip,
     check_observability_transparency,
     check_prefilter_soundness,
+    check_replay_equivalence,
     check_scan_equivalence,
     check_service_equivalence,
     check_stats_accounting,
@@ -74,6 +75,7 @@ __all__ = [
     "check_fixer_round_trip",
     "check_observability_transparency",
     "check_prefilter_soundness",
+    "check_replay_equivalence",
     "check_scan_equivalence",
     "check_service_equivalence",
     "check_stats_accounting",

@@ -35,9 +35,14 @@ Every oracle returns a list of :class:`OracleFailure` (empty = pass):
 * :func:`check_service_equivalence` — service mode must be pure transport
   and persistence pure optimisation: detections served over a live
   keep-alive HTTP connection are byte-identical to the in-process
-  toolchain, and a warm-restarted process (a fresh detector over the same
-  persistent memo file) is byte-identical to its own cold run — including
-  after the memo file is corrupted, which must fall back to cold cleanly.
+  toolchain (a repeated small request served as a replay included), and
+  a warm-restarted process (a fresh detector over the same persistent
+  memo file) is byte-identical to its own cold run — including after the
+  memo file is corrupted, which must fall back to cold cleanly;
+* :func:`check_replay_equivalence` — ``SQLCheck.check``'s replay layer
+  must be pure optimisation: a replayed repeat, the first cached run and
+  a cache-off run give the same report, byte for byte, and a clean small
+  repeat must actually be a replay.
 """
 from __future__ import annotations
 
@@ -49,11 +54,13 @@ from typing import Sequence
 from ..baselines.dbdeo import DBDEO_ANTI_PATTERNS, DBDeo
 from ..core.sqlcheck import SQLCheck, SQLCheckOptions
 from ..detector.detector import APDetector, DetectorConfig
+from ..detector.pipeline import MODE_REPLAY
 from ..model.antipatterns import AntiPattern
 from ..model.detection import DetectionReport
 from ..obs import PipelineStats
 from ..rules.registry import RuleRegistry, default_registry
 from ..sqlparser import parse
+from ..sqlparser.fingerprint import MAX_CACHED_STATEMENTS
 from .generator import CorpusGenerator, GeneratedStatement
 
 #: Shared-rule subset on which dbdeo's keyword regexes reliably hit the
@@ -890,18 +897,31 @@ def check_service_equivalence(
 
     # 1. transport transparency over a live keep-alive connection.  The
     # server always builds its pooled toolchains from the default detector
-    # config, so the in-process reference must too.
+    # config, so the in-process reference must too.  The whole corpus goes
+    # twice, then a request small enough for the replay layer goes twice:
+    # its repeat must be served as a replay, with the in-process body.
     sql = ";\n".join(corpus)
+    small = ";\n".join(corpus[:8])
     reference = SQLCheck(SQLCheckOptions(ranking=C1)).check(sql)
-    body = json.dumps({"query": sql}).encode()
+    small_reference = SQLCheck(SQLCheckOptions(ranking=C1)).check(small)
+    replayable = (
+        not small_reference.errors
+        and small_reference.queries_analyzed <= MAX_CACHED_STATEMENTS
+    )
+    requests = [
+        ("first request", sql, reference, False),
+        ("keep-alive reuse", sql, reference, False),
+        ("small request", small, small_reference, False),
+        ("small repeat", small, small_reference, replayable),
+    ]
     with RestServer() as server:
         host, port = server.address
         connection = http.client.HTTPConnection(host, port, timeout=60)
         try:
-            for attempt in ("first request", "keep-alive reuse"):
+            for attempt, query, expected, replay in requests:
                 try:
                     connection.request(
-                        "POST", "/api/check", body,
+                        "POST", "/api/check", json.dumps({"query": query}).encode(),
                         headers={"Content-Type": "application/json"},
                     )
                     response = connection.getresponse()
@@ -924,10 +944,20 @@ def check_service_equivalence(
                     },
                     sort_keys=True, default=str,
                 ).encode()
-                if served_bytes != _ranked_detection_bytes(reference):
+                if served_bytes != _ranked_detection_bytes(expected):
                     failures.append(OracleFailure(
                         "service-equivalence", attempt,
                         "served detections differ from the in-process toolchain"))
+                if replay:
+                    if _report_bytes(served) != _report_bytes(expected.to_dict()):
+                        failures.append(OracleFailure(
+                            "service-equivalence", attempt,
+                            "the served replay differs from the in-process report"))
+                    mode = (served.get("stats") or {}).get("parallel_mode")
+                    if mode != MODE_REPLAY:
+                        failures.append(OracleFailure(
+                            "service-equivalence", attempt,
+                            f"a repeated small request ran {mode!r}, not a replay"))
         finally:
             connection.close()
 
@@ -973,6 +1003,81 @@ def check_service_equivalence(
                 "service-equivalence", "corrupt memo file",
                 "a corrupt memo file still served a persistent replay"))
     return failures
+
+
+# ----------------------------------------------------------------------
+# replayed check ≡ first cached check ≡ cache-off check
+# ----------------------------------------------------------------------
+def check_replay_equivalence(
+    corpus: "Sequence[str] | None" = None,
+    *,
+    seed: int = 2020,
+    statements: int = 40,
+    config: DetectorConfig | None = None,
+) -> "list[OracleFailure]":
+    """A replayed ``check`` ≡ the first cached ``check`` ≡ a cache-off one.
+
+    The sample is the corpus's first 8 statements (fuzzed from ``seed``
+    when no corpus is given), sent as a list of texts and as one script,
+    each without and with a ``source``.  One cached toolchain checks each
+    of the four inputs twice, and a cache-off toolchain once; the three
+    reports' ``to_dict()`` without ``stats`` must be equal byte for byte.
+    Each first check must run the pipeline (the four keys differ).  The
+    repeat must be a replay when the run was clean and within
+    :data:`~repro.sqlparser.fingerprint.MAX_CACHED_STATEMENTS`
+    statements, and must not be one otherwise; a sample that gives no
+    replay at all fails as vacuous.
+    """
+    import dataclasses as _dc
+
+    if corpus is None:
+        corpus = CorpusGenerator(seed).corpus_sql(statements)
+    sample = list(corpus)[:8]
+    base = config or DetectorConfig()
+    cold = SQLCheck(SQLCheckOptions(detector=_dc.replace(base, enable_cache=False)))
+    toolchain = SQLCheck(SQLCheckOptions(detector=_dc.replace(base, enable_cache=True)))
+    failures: list[OracleFailure] = []
+    replayed = 0
+    for shape, queries in (("list", sample), ("script", ";\n".join(sample))):
+        for source in (None, "selftest.sql"):
+            subject = f"{shape} input, source={source!r}"
+            reference = _report_bytes(cold.check(queries, source=source).to_dict())
+            first = toolchain.check(queries, source=source)
+            repeat = toolchain.check(queries, source=source)
+            if first.stats.parallel_mode == MODE_REPLAY:
+                failures.append(OracleFailure(
+                    "replay-equivalence", subject,
+                    "the first check of this input was a replay: its key "
+                    "matched a different input's"))
+            if _report_bytes(first.to_dict()) != reference:
+                failures.append(OracleFailure(
+                    "replay-equivalence", subject,
+                    "the first cached check differs from the cache-off check"))
+            if _report_bytes(repeat.to_dict()) != reference:
+                failures.append(OracleFailure(
+                    "replay-equivalence", subject,
+                    "the repeated check differs from the cache-off check"))
+            storable = not first.errors and first.queries_analyzed <= MAX_CACHED_STATEMENTS
+            if (repeat.stats.parallel_mode == MODE_REPLAY) != storable:
+                failures.append(OracleFailure(
+                    "replay-equivalence", subject,
+                    f"the repeat ran {repeat.stats.parallel_mode!r}; a "
+                    f"{'clean' if storable else 'degraded or oversized'} run's "
+                    f"repeat must {'' if storable else 'not '}be a replay"))
+            replayed += repeat.stats.parallel_mode == MODE_REPLAY
+    if not replayed:
+        failures.append(OracleFailure(
+            "replay-equivalence", "all inputs",
+            "no repeat was replayed — the comparison was vacuous"))
+    return failures
+
+
+def _report_bytes(payload: dict) -> bytes:
+    """Canonical bytes of a report's ``to_dict()`` without its ``stats``."""
+    return json.dumps(
+        {key: value for key, value in payload.items() if key != "stats"},
+        sort_keys=True, default=str,
+    ).encode()
 
 
 def _ranked_detection_bytes(report) -> bytes:

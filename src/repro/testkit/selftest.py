@@ -25,6 +25,7 @@ from .oracles import (
     check_fixer_round_trip,
     check_observability_transparency,
     check_prefilter_soundness,
+    check_replay_equivalence,
     check_service_equivalence,
 )
 
@@ -222,5 +223,12 @@ def run_selftest(
     #     persistent memo ≡ its own cold run (corrupt files fall back cold).
     result.oracle_failures.extend(
         check_service_equivalence(corpus, seed=seed, config=config)
+    )
+
+    # 11. replay equivalence: a repeated small check, answered whole from
+    #     the replay layer, ≡ its first cached run ≡ a cache-off run, for
+    #     list and script inputs with and without a source.
+    result.oracle_failures.extend(
+        check_replay_equivalence(corpus, seed=seed, config=config)
     )
     return result

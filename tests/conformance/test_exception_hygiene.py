@@ -31,8 +31,9 @@ ALLOWED_BROAD_CATCHES = {
     # detector: per-rule and per-data-rule quarantine
     ("detector/detector.py", "_iter_detections"),
     ("detector/detector.py", "_detect_statement"),
-    # core: rank/fix quarantine and the batch pool fallback
-    ("core/sqlcheck.py", "check_context"),
+    # core: rank/fix quarantine (the detect/rank/fix body check and
+    # check_context share) and the batch pool fallback
+    ("core/sqlcheck.py", "_finish"),
     ("core/sqlcheck.py", "check_many"),
     # REST: a handler bug must produce a JSON 500, not a dead socket
     ("interfaces/rest.py", "do_POST"),

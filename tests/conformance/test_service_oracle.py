@@ -44,3 +44,12 @@ def test_oracle_rejects_a_vacuous_warm_run(monkeypatch):
     )
     failures = check_service_equivalence(statements=15)
     assert any("vacuous" in f.reason for f in failures)
+
+
+def test_oracle_requires_a_repeated_small_request_to_be_served_as_a_replay(monkeypatch):
+    """A server whose toolchains never keep a report fails the small repeat."""
+    from repro.core.sqlcheck import SQLCheck
+
+    monkeypatch.setattr(SQLCheck, "_store", lambda self, key, report: None)
+    failures = check_service_equivalence(statements=15)
+    assert any(f.subject == "small repeat" and "not a replay" in f.reason for f in failures)

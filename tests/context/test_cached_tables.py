@@ -13,8 +13,8 @@ import pytest
 
 from repro import SQLCheck, SQLCheckOptions
 from repro.catalog.ddl_builder import DDLBuilder
-from repro.context.builder import _MAX_CACHED_SCRIPT_STATEMENTS
 from repro.detector import DetectorConfig
+from repro.sqlparser.fingerprint import MAX_CACHED_STATEMENTS
 
 SCRIPT = """
 CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(40), tags TEXT);
@@ -55,10 +55,14 @@ def test_repeat_check_parses_no_create_table_column(column_parses):
     assert column_parses() == COLUMNS
     # The ALTER TABLE and CREATE INDEX still run, in workload order, on
     # the copied tables; the CHECK the ALTER adds must not reach the cache.
+    # Each repeat clears the replay layer first, so it takes the warm
+    # parse path instead of replaying the finished report.
+    toolchain.replays.clear()
     warm = toolchain.check(SCRIPT)
     assert column_parses() == COLUMNS
     assert _payload(warm) == _payload(cold)
     assert warm.stats.annotation_cache_hits == 1
+    toolchain.replays.clear()
     again = toolchain.check(SCRIPT)
     assert _payload(again) == _payload(cold)
 
@@ -83,7 +87,7 @@ def test_warm_restart_parses_no_create_table_column(tmp_path, column_parses):
 def test_script_the_cache_declines_derives_every_run(column_parses):
     tables = [
         f"CREATE TABLE t{i} (id INTEGER PRIMARY KEY, v{i} VARCHAR(20))"
-        for i in range(_MAX_CACHED_SCRIPT_STATEMENTS + 1)
+        for i in range(MAX_CACHED_STATEMENTS + 1)
     ]
     script = ";\n".join(tables) + ";"
     toolchain = SQLCheck()

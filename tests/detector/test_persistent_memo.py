@@ -177,6 +177,32 @@ class TestTrim:
         small, large = flush_steps(1000), flush_steps(8000)
         assert 0 < large <= 1.5 * small, (small, large)
 
+    def test_full_table_flush_steps_do_not_grow_with_max_rows(self, tmp_path):
+        """Counted, not timed: a 9-row flush into a table already holding
+        ``max_rows`` rows deletes the 9 oldest at a cost that does not grow
+        from ``max_rows=1000`` to ``8000`` (a cut at ``OFFSET max_rows``
+        walked every kept row)."""
+
+        def flush_steps(max_rows: int) -> int:
+            path = tmp_path / f"memo-{max_rows}.sqlite"
+            store = PersistentMemo(path, registry_digest=b"r1", max_rows=max_rows)
+            for n in range(max_rows):
+                store.put("memo", ("s", f"SELECT {n}"), [])
+            store.flush()
+            for n in range(9):
+                store.put("memo", ("s", f"SELECT new {n}"), [])
+            steps = []
+            store._conn.set_progress_handler(lambda: steps.append(1), 1)
+            store.flush()
+            store._conn.set_progress_handler(None, 1)
+            kept = store._conn.execute("SELECT MIN(rowid), COUNT(*) FROM memo").fetchone()
+            store.close()
+            assert kept == (10, max_rows)
+            return len(steps)
+
+        small, large = flush_steps(1000), flush_steps(8000)
+        assert 0 < large <= 1.5 * small, (small, large)
+
 
 #: The store's schema before the caches stopped keying on fingerprints.
 FORMAT_1_SCHEMA = """

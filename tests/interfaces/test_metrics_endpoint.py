@@ -189,9 +189,22 @@ class TestCacheSeries:
 
     def test_check_runs_update_the_cache_series(self, fresh_registry):
         toolchain = SQLCheck()
+        # A different source per run keeps the repeat out of the replay
+        # layer, so it reads the parse cache and the memo.
+        for run in range(2):
+            toolchain.check("SELECT * FROM t", source=f"run-{run}")
+        self._assert_one_hit_one_miss(fresh_registry)
+
+    def test_repeat_checks_update_the_replay_series(self, fresh_registry):
+        toolchain = SQLCheck()
         for _ in range(2):
             toolchain.check("SELECT * FROM t")
-        self._assert_one_hit_one_miss(fresh_registry)
+        samples = _samples(fresh_registry)
+        assert samples['sqlcheck_replay_lookups_total{result="hit"}'] == 1
+        assert samples['sqlcheck_replay_lookups_total{result="miss"}'] == 1
+        # The replayed run looked nothing up in the parse cache or the memo.
+        assert samples['sqlcheck_annotation_cache_lookups_total{result="miss"}'] == 1
+        assert 'sqlcheck_annotation_cache_lookups_total{result="hit"}' not in samples
 
     def test_scan_runs_update_the_cache_series(self, fresh_registry):
         scanner = LiveScanner()

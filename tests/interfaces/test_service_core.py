@@ -18,6 +18,7 @@ import urllib.request
 
 import pytest
 
+from repro.detector import DetectorConfig
 from repro.interfaces.cli import run
 from repro.interfaces.rest import RestServer, ToolchainPool, handle_scan_request
 
@@ -181,6 +182,8 @@ class TestHealth:
         ]
         assert "detection_memo" in toolchain
         assert toolchain["detection_memo"]["entries"] >= 0
+        assert toolchain["replay"]["entries"] == 1
+        assert toolchain["replay"]["maxsize"] == DetectorConfig().cache_size
 
     def test_health_reports_persistent_occupancy(self, tmp_path):
         memo = str(tmp_path / "memo.sqlite")

@@ -4,10 +4,11 @@
 the reading where the previous one ended, and ``total_seconds`` is the
 last end minus the first start, so the stages sum to the total.  While
 tracing, the same two readings open and close the ``stage:<name>`` span.
-The cases below hold both for every entry point, and pin the two counted
-guards the clock's move rests on: an untraced run builds no span, and
-each cache lookup is counted once, so ``/metrics``' lookup counters grow
-by exactly a run's ``PipelineStats`` cache fields.
+The cases below hold both for every entry point, a replayed ``check``
+and a scan's workload-log read (its ``ingest`` stage) included, and pin
+the two counted guards the clock's move rests on: an untraced run builds
+no span, and each cache lookup is counted once, so ``/metrics``' lookup
+counters grow by exactly a run's ``PipelineStats`` cache fields.
 """
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ from repro.testkit import CorpusGenerator
 EXACT = 1e-9
 
 CORPUS = CorpusGenerator(5).corpus_sql(60)
-STAGES = ("parse", "context", "detect", "rank", "fix")
+STAGES = ("ingest", "parse", "context", "detect", "rank", "fix")
+#: runs that read a workload log, which their ingest stage must time.
+INGESTING = ("scan",)
 
 
 def _check(tmp_path):
@@ -51,7 +54,9 @@ def _scan(tmp_path):
         )
     connection.close()
     workload = [f"SELECT * FROM t WHERE id = {i % 20}" for i in range(60)] + CORPUS[:20]
-    yield LiveScanner().scan(str(db_path), workload).stats
+    log_path = tmp_path / "queries.sql"
+    log_path.write_text("".join(f"{statement};\n" for statement in workload))
+    yield LiveScanner().scan(str(db_path), str(log_path)).stats
 
 
 def _stream(tmp_path):
@@ -75,6 +80,14 @@ def _persistent_replay(tmp_path):
     yield stats
 
 
+def _replay(tmp_path):
+    toolchain = SQLCheck()
+    yield toolchain.check(CORPUS[:8]).stats  # the first run, stored whole
+    stats = toolchain.check(CORPUS[:8]).stats
+    assert stats.parallel_mode == "replay"
+    yield stats
+
+
 RUNS = {
     "check": _check,
     "check_context": _direct_check_context,
@@ -82,6 +95,7 @@ RUNS = {
     "stream": _stream,
     "detect_batch": _detect_batch,
     "persistent_replay": _persistent_replay,
+    "replay": _replay,
 }
 
 
@@ -92,6 +106,7 @@ def test_stages_tile_the_run(run, tmp_path):
     for stats in runs:
         assert stats.total_seconds > 0
         assert abs(stats.total_seconds - stats.stage_seconds_sum()) <= EXACT
+        assert (stats.ingest_seconds > 0) == (run in INGESTING)
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))

@@ -3,7 +3,8 @@
 ``SQLCheck.check_context`` folds a run's ``PipelineStats`` into the
 registry, so ``check``, ``scan``, ``LiveScanner.stream`` and direct calls
 all record one sample per stage; a pooled ``check_many`` folds the stats
-its workers return.
+its workers return, and the detect-only ``APDetector.detect`` and
+``stream`` fold their own runs.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 
 from repro import SQLCheck
 from repro.core import sqlcheck as sqlcheck_module
+from repro.detector.detector import APDetector
 from repro.ingest import LiveScanner
 from repro.obs import MetricsRegistry, swap_registry
 from repro.testkit import CorpusGenerator
@@ -73,3 +75,19 @@ def test_pooled_check_many_records_like_the_serial_path(registry, monkeypatch):
     pooled = SQLCheck().check_many(corpora, workers=2)
     assert pooled.stats.parallel_mode == "process-pool"
     assert _recorded(registry) == expected
+
+
+DETECT_ONLY = ["SELECT * FROM orders", "SELECT id FROM users WHERE name LIKE '%ann%'"]
+
+
+def test_detect_only_run_records_its_statements_and_one_stage_sample(registry):
+    SQLCheck().detect(DETECT_ONLY)
+    assert registry.statements.total() == 2
+    assert registry.stage_seconds.count(stage="detect") == 1
+
+
+def test_exhausted_stream_records_one_run(registry):
+    detections = list(APDetector().stream(DETECT_ONLY))
+    assert detections
+    assert registry.statements.total() == 2
+    assert registry.stage_seconds.count(stage="detect") == 1
