@@ -13,10 +13,9 @@ Three measurements, written to ``BENCH_pr5.json`` (only under
 * **pg_stat reader throughput** — lines/second of the pre-aggregated
   ``pg_stat_statements`` CSV reader feeding the ``WorkloadLog`` fold
   (same floor as the PR 4 line-per-execution readers).
-* **multi-core re-measure** (ROADMAP item) — the process-pool paths
-  (``detect_batch``, ``check_many``) re-timed on this container with the
-  core count recorded, so the numbers can be read against the hardware
-  they came from.
+* **batch re-measure** — the batch paths (``detect_batch``,
+  ``check_many``, both in-process) re-timed with the core count recorded,
+  so the numbers can be read against the hardware they came from.
 """
 from __future__ import annotations
 
@@ -122,7 +121,7 @@ def _measure_multicore(sql: "list[str]") -> dict:
     corpora = {f"repo_{i}": sql[i::8] for i in range(8)}
     toolchain = SQLCheck()
     start = time.perf_counter()
-    batch = toolchain.check_many(corpora, workers=4)
+    batch = toolchain.check_many(corpora)
     many_seconds = time.perf_counter() - start
     return {
         "detect_batch": {
@@ -130,13 +129,11 @@ def _measure_multicore(sql: "list[str]") -> dict:
             "seconds": round(batch_seconds, 4),
             "statements_per_second": round(stats.statements / batch_seconds, 1),
             "parallel_mode": stats.parallel_mode,
-            "workers": stats.workers,
         },
         "check_many": {
             "corpora": len(corpora),
             "seconds": round(many_seconds, 4),
             "parallel_mode": batch.stats.parallel_mode,
-            "workers": batch.stats.workers,
         },
     }
 

@@ -91,7 +91,6 @@ def test_fused_cold_path_throughput(write_bench):
             "seconds": round(batch_seconds, 4),
             "statements_per_second": round(n / batch_seconds, 1),
             "mode": batch_stats.parallel_mode,
-            "workers": batch_stats.workers,
         },
     }
     write_bench(BENCH_PATH, payload)

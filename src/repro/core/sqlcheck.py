@@ -6,12 +6,13 @@ one suggested fix per detection.  The optional "upload to the online AP
 repository" step of the paper's workflow is modelled as a local JSON export.
 
 Corpus-scale additions: every run records per-stage timings in a
-:class:`PipelineStats`, and :meth:`SQLCheck.check_many` fans independent
-corpora (repositories, applications, files) out over a process pool —
-each corpus is an independent application context, so per-corpus results
-are identical to running :meth:`check` on it directly.  An exact repeat of
-a small clean :meth:`SQLCheck.check` input is answered from an in-memory
-replay layer of finished reports, without running the pipeline.
+:class:`PipelineStats`, and :meth:`SQLCheck.check_many` runs independent
+corpora (repositories, applications, files) one after another through
+:meth:`SQLCheck.check` — each corpus is an independent application
+context, so per-corpus results are identical to running :meth:`check` on
+it directly.  An exact repeat of a small clean :meth:`SQLCheck.check`
+input is answered from an in-memory replay layer of finished reports,
+without running the pipeline.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import dataclasses
 import json
 import pickle
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -27,18 +27,7 @@ from ..context.application_context import ApplicationContext
 from ..detector.detector import APDetector, DetectorConfig
 from ..detector.persist import _dumps
 from ..errors import CODE_FIX_ERROR, CODE_RANK_ERROR, PipelineError
-from ..detector.pipeline import (
-    MIN_PARALLEL_STATEMENTS,
-    MODE_PROCESS_POOL,
-    MODE_REPLAY,
-    REASON_EXECUTOR_ERROR,
-    REASON_SINGLE_CORPUS,
-    REASON_SINGLE_CPU,
-    REASON_SMALL_INPUT,
-    REASON_TRACED,
-    resolve_workers,
-    serial_mode,
-)
+from ..detector.pipeline import MODE_REPLAY
 from ..fixer.fix import Fix
 from ..fixer.repair_engine import APFixer, QueryRepairEngine
 from ..model.antipatterns import AntiPattern
@@ -60,8 +49,8 @@ class SQLCheckOptions:
 
     Attributes:
         detector: the ap-detect configuration (:class:`DetectorConfig`) —
-            analysis stages, confidence threshold, dialect, cache and
-            worker knobs.
+            analysis stages, confidence threshold, dialect and cache
+            knobs.
         ranking: the ap-rank configuration; ``C1`` (default) and ``C2``
             are the two configurations evaluated in Figure 7a.
         metrics: optional per-anti-pattern metric overrides for the
@@ -134,7 +123,7 @@ class SQLCheckReport:
 
     def __getstate__(self) -> dict:
         # The fix index keys on object identity, which does not survive
-        # pickling (process-pool workers ship reports back to the parent).
+        # pickling (the replay layer keeps reports pickled).
         state = self.__dict__.copy()
         state["_fix_index"] = None
         return state
@@ -226,26 +215,6 @@ class BatchReport:
         }
 
 
-# ----------------------------------------------------------------------
-# process-pool plumbing for check_many: each worker process builds the
-# toolchain once (warm caches persist across the corpora it is handed).
-# ----------------------------------------------------------------------
-_WORKER_TOOLCHAIN: "SQLCheck | None" = None
-
-
-def _batch_worker_init(
-    options: SQLCheckOptions, registry: RuleRegistry, repair_engine: QueryRepairEngine
-) -> None:
-    global _WORKER_TOOLCHAIN
-    _WORKER_TOOLCHAIN = SQLCheck(options, registry=registry, repair_engine=repair_engine)
-
-
-def _batch_worker_check(item: "tuple[str, Sequence[str] | str]") -> "tuple[str, SQLCheckReport]":
-    source, queries = item
-    assert _WORKER_TOOLCHAIN is not None
-    return source, _WORKER_TOOLCHAIN.check(queries, source=source)
-
-
 class SQLCheck:
     """The end-to-end toolchain: detect, rank, and fix anti-patterns.
 
@@ -259,7 +228,7 @@ class SQLCheck:
     * :meth:`check` — one corpus (SQL text or statement list, optionally a
       live database) → :class:`SQLCheckReport`;
     * :meth:`check_many` — many independent corpora → :class:`BatchReport`,
-      fanned out over a process pool when workers and CPUs allow;
+      each run through :meth:`check` on this toolchain;
     * :meth:`check_context` — run over a pre-built
       :class:`~repro.context.application_context.ApplicationContext`;
     * :meth:`detect` — detection only, skipping ranking and fixes.
@@ -483,82 +452,30 @@ class SQLCheck:
 
         ``corpora`` maps a source label (repository, application, file) to
         its statements.  Each corpus is an independent application context
-        (inter-query rules never see across corpus boundaries), so corpora
-        fan out over a process pool when enough work and CPUs are available;
-        otherwise they run serially in-process, sharing this toolchain's
-        warm caches.  While the tracer is on they always run in-process, so
-        the trace holds every corpus.  Per-corpus reports are identical to
-        calling :meth:`check` directly.  Duplicate source labels are kept as
-        distinct corpora under suffixed keys (``label#2``, ...).
+        (inter-query rules never see across corpus boundaries) and runs
+        through :meth:`check` on this toolchain, in order, sharing its warm
+        caches, so per-corpus reports are identical to calling :meth:`check`
+        directly.  Duplicate source labels are kept as distinct corpora
+        under suffixed keys (``label#2``, ...).  The batch's stats merge the
+        corpora's, with the wall-clock time of the whole batch as total.
+        ``workers`` is accepted and ignored, so callers that pass it keep
+        working: every batch runs in this process.
         """
-        items = self._unique_labels(
-            list(corpora.items() if isinstance(corpora, Mapping) else corpora)
-        )
-        requested = workers if workers is not None else self.options.detector.workers
-        effective = resolve_workers(requested)
-        # A string corpus may hold many ;-separated statements (the CLI hands
-        # whole files through) — estimate, don't count it as one.
-        total_statements = sum(
-            queries.count(";") + 1 if isinstance(queries, str) else len(queries)
-            for _, queries in items
-        )
-        traced = get_tracer().enabled
         batch = BatchReport()
-        batch.stats.workers = effective
-        batch.stats.corpora = len(items)
         start = now()
-        if (
-            effective > 1
-            and len(items) > 1
-            and total_statements >= MIN_PARALLEL_STATEMENTS
-            and not traced
+        for source, queries in self._unique_labels(
+            corpora.items() if isinstance(corpora, Mapping) else corpora
         ):
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(effective, len(items)),
-                    initializer=_batch_worker_init,
-                    initargs=(self.options, self.registry, self.repair_engine),
-                ) as pool:
-                    for source, report in pool.map(_batch_worker_check, items):
-                        batch.reports[source] = report
-                # Workers observed into their own registries; only the stage
-                # series reach this process, through the returned stats.
-                for report in batch.reports.values():
-                    observe_stage_seconds(report.stats)
-                batch.stats.parallel_mode = MODE_PROCESS_POOL
-                # Worker stage times ran concurrently; their merged sum is
-                # CPU-aggregate, not wall-clock.
-                batch.stats.stage_semantics = "cpu-aggregate"
-            except Exception:
-                batch.reports.clear()
-                self._check_many_serial(items, batch)
-                batch.stats.workers = 1
-                batch.stats.parallel_mode = serial_mode(requested, REASON_EXECUTOR_ERROR)
-        else:
-            self._check_many_serial(items, batch)
-            batch.stats.workers = 1
-            if effective <= 1:
-                reason = REASON_SINGLE_CPU
-            elif len(items) <= 1:
-                reason = REASON_SINGLE_CORPUS
-            elif traced:
-                reason = REASON_TRACED
-            else:
-                reason = REASON_SMALL_INPUT
-            batch.stats.parallel_mode = serial_mode(requested, reason)
-        # The merge adds the per-corpus counts and stage times and leaves
-        # the batch's own mode and semantics alone; the corpus count is the
-        # batch's (each corpus's stats count itself once).
-        for report in batch.reports.values():
-            if report.stats is not None:
-                batch.stats.merge(report.stats)
-        batch.stats.corpora = len(items)
+            report = batch.reports[source] = self.check(queries, source=source)
+            batch.stats.merge(report.stats)
+        # Each corpus's stats count itself once; the batch is their count.
+        batch.stats.corpora = len(batch.reports)
         batch.stats.total_seconds = now() - start
         return batch
 
     @staticmethod
     def _unique_labels(
-        items: "list[tuple[str, Sequence[str] | str]]",
+        items: "Iterable[tuple[str, Sequence[str] | str]]",
     ) -> "list[tuple[str, Sequence[str] | str]]":
         """Suffix colliding source labels so no corpus is silently dropped."""
         seen: set[str] = set()
@@ -571,12 +488,6 @@ class SQLCheck:
             seen.add(key)
             unique.append((key, queries))
         return unique
-
-    def _check_many_serial(
-        self, items: "list[tuple[str, Sequence[str] | str]]", batch: BatchReport
-    ) -> None:
-        for source, queries in items:
-            batch.reports[source] = self.check(queries, source=source)
 
     def detect(self, queries: "Sequence[str] | str" = (), database: Any | None = None) -> DetectionReport:
         """Detection only (no ranking or fixes)."""

@@ -52,10 +52,8 @@ class DetectorConfig:
     removes false positives when more context is available.
 
     ``enable_cache`` / ``cache_size`` control the annotation cache and the
-    per-statement detection memo; ``workers`` is the default corpus fan-out
-    of :meth:`~repro.core.sqlcheck.SQLCheck.check_many`.  No setting
-    changes which rules run on a statement: those its type's compiled
-    trigger automaton selects.
+    per-statement detection memo.  No setting changes which rules run on a
+    statement: those its type's compiled trigger automaton selects.
 
     Attributes:
         enable_inter_query: apply contextual (whole-workload) refinements.
@@ -68,7 +66,6 @@ class DetectorConfig:
         sample_size: rows sampled per table by the data profiler.
         enable_cache: annotation cache + detection memo on/off.
         cache_size: LRU capacity (entries) of each cache.
-        workers: default process fan-out of ``SQLCheck.check_many``.
         quarantine: isolate per-statement parse failures and per-rule
             check failures as structured :class:`~repro.errors.PipelineError`
             records on the report instead of aborting the run.  Off, any
@@ -92,7 +89,6 @@ class DetectorConfig:
     sample_size: int = 1000
     enable_cache: bool = True
     cache_size: int = 4096
-    workers: int = 1
     quarantine: bool = True
     persistent_memo_path: "str | None" = None
 

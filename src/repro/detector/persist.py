@@ -5,7 +5,8 @@ cache, the per-statement detection memo, and the corpus-level replay — die
 with the process, so every REST worker and every CLI invocation pays the
 cold path again.  :class:`PersistentMemo` mirrors those caches into one
 SQLite file so a *restarted* process resumes warm, and concurrent
-``check_many`` workers (which each open the same path) share one store.
+processes (CLI runs, ``serve`` instances) that open the same path share
+one store.
 
 Three tables mirror the three cache layers:
 

@@ -447,6 +447,13 @@ class ColumnWildcardFix(FixRule):
         )
 
 
+#: The operand left of a ``||``.  It starts only where a word starts: a
+#: match inside a word is never the leftmost one, and without the
+#: lookbehind a failing search retries from every character of a long
+#: word, which is quadratic in its length.
+_CONCAT_OPERAND_RE = re.compile(r"(?<!\w)(\w+(?:\.\w+)?)\s*\|\|")
+
+
 class ConcatenateNullsFix(FixRule):
     anti_pattern = AntiPattern.CONCATENATE_NULLS
 
@@ -454,10 +461,8 @@ class ConcatenateNullsFix(FixRule):
         column = detection.column or "<column>"
         rewritten = None
         if detection.query and "||" in detection.query:
-            rewritten = re.sub(
-                r"(\w+(?:\.\w+)?)\s*\|\|",
-                lambda m: f"COALESCE({m.group(1)}, '') ||",
-                detection.query,
+            rewritten = _CONCAT_OPERAND_RE.sub(
+                lambda m: f"COALESCE({m.group(1)}, '') ||", detection.query
             )
         return Fix(
             detection=detection,

@@ -236,14 +236,16 @@ class LiveScanner:
         Inter-query context and frequency weights are chunk-local — the
         memory bound is the trade-off, and corpus-scale logs whose
         statements exceed main memory are the only reason to prefer this
-        over :meth:`scan`.
+        over :meth:`scan`.  Reading the workload log is the first chunk's
+        ``ingest`` stage.
         """
-        log = _coerce_workload(workload, log_format)
+        stats = PipelineStats()
+        with stats.stage("ingest"):
+            log = _coerce_workload(workload, log_format)
         if log is None:
             raise ConnectorError("stream needs a workload log")
         label = source or log.source
         for piece in log.slices(chunk_size):
-            stats = PipelineStats()
             context = self.toolchain._builder.build(
                 piece.statements(),
                 source=label,
@@ -253,6 +255,7 @@ class LiveScanner:
             with stats.stage("context"):
                 assign_frequencies(context, piece)
             yield self.toolchain.check_context(context, stats=stats)
+            stats = PipelineStats()
 
     def stream_detect(
         self,

@@ -83,13 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         "can differ from the default joined analysis)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for --batch mode (parallelism only; never "
-        "changes results)",
-    )
-    parser.add_argument(
         "--stats", action="store_true", help="print per-stage pipeline timings and cache hit rates"
     )
     parser.add_argument(
@@ -591,7 +584,6 @@ def _run_main(args: argparse.Namespace, stdin: "str | None") -> tuple[int, str]:
             enable_inter_query=not args.no_inter_query,
             confidence_threshold=args.min_confidence,
             dialect=args.dialect,
-            workers=args.workers,
             persistent_memo_path=args.memo_cache,
         ),
         ranking=ranking,
@@ -608,7 +600,7 @@ def _run_main(args: argparse.Namespace, stdin: "str | None") -> tuple[int, str]:
         # Batch pipeline: each file becomes its own independent corpus —
         # inter-query context no longer crosses file boundaries (check_many
         # keeps a path given twice as a distinct, suffixed corpus).
-        batch = toolchain.check_many(file_contents, workers=args.workers)
+        batch = toolchain.check_many(file_contents)
         output = render_batch(
             batch, fmt=args.format, top=args.top, stats=args.stats,
             registry=toolchain.registry,
@@ -622,11 +614,6 @@ def _run_main(args: argparse.Namespace, stdin: "str | None") -> tuple[int, str]:
         )
         print(
             f"sqlcheck: --batch ignored ({reason}); running the default joined analysis",
-            file=sys.stderr,
-        )
-    if args.workers > 1:
-        print(
-            "sqlcheck: --workers only applies to --batch mode; running serially",
             file=sys.stderr,
         )
     # Label the run with the file name only when it is unambiguous (one file,
@@ -733,7 +720,7 @@ def _stats_lines(stats) -> list[str]:
     lines.append(
         f"    throughput: {payload['statements']} statement(s) in "
         f"{payload['total_seconds']:.3f}s ({payload['statements_per_second']:.0f} stmt/s, "
-        f"{payload['parallel_mode']}, {payload['workers']} worker(s))"
+        f"{payload['parallel_mode']})"
     )
     lines.append(
         f"    caches: annotation {payload['annotation_cache']['hits']}/"

@@ -13,10 +13,9 @@ by the standard library's ``http.server``:
   ``markdown``/``html`` return ``{"format": ..., "content": ...}`` with
   the rendered explainable report;
 * ``POST /api/check_batch`` — body ``{"corpora": {"name": "sql..."},
-  "workers": N, "format": ..., "stats": true}``, runs the parallel batch
-  pipeline over independent corpora and returns one report per corpus plus
-  aggregate stats (same ``format`` and ``stats`` handling as
-  ``/api/check``);
+  "format": ..., "stats": true}``, runs the batch pipeline over
+  independent corpora and returns one report per corpus plus aggregate
+  stats (same ``format`` and ``stats`` handling as ``/api/check``);
 * ``POST /api/scan`` — live-source ingestion: body ``{"db": "sqlite:///...",
   "db_base64": "<base64 SQLite file>", "log_text": "...", "log_format":
   "postgres-csv"|"postgres"|"pg_stat_statements"|"mysql"|"sqlite-trace"|
@@ -267,10 +266,6 @@ def handle_check_batch_request(
             isinstance(queries, list) and all(isinstance(q, str) for q in queries)
         ):
             return 400, _error(f"corpus {name!r} must be a SQL string or a list of SQL strings")
-    try:
-        workers = int(payload.get("workers", 1))
-    except (TypeError, ValueError):
-        return 400, _error("'workers' must be an integer")
     fmt, error = _parse_format(payload)
     if error is not None:
         return 400, error
@@ -285,7 +280,7 @@ def handle_check_batch_request(
         ),
     )
     with lock:
-        batch = toolchain.check_many(corpora, workers=workers)
+        batch = toolchain.check_many(corpora)
     if fmt == "json":
         return 200, _json_report(batch.to_dict(), payload)
     documents = build_documents(batch, registry=toolchain.registry)

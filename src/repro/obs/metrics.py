@@ -300,7 +300,7 @@ class MetricsRegistry:
             "Entries resident in the detection memo after the last run.",
         )
         # persistent memo: the SQLite-backed warm state shared across
-        # restarts and check_many workers
+        # restarts and processes
         self.persistent_memo_lookups = self.counter(
             f"{NAMESPACE}_persistent_memo_lookups_total",
             "Persistent-memo lookups by layer (memo/annotations/corpus) "
@@ -449,13 +449,13 @@ def observe_stage_seconds(stats) -> None:
 
     Duck-typed (this module cannot import the detector); call once per
     completed run.  ``SQLCheck.check`` and ``check_context`` do, as do
-    ``APDetector.detect``, ``stream`` and ``detect_batch``, and a pooled
-    ``check_many`` folds each worker's returned stats in the parent.
+    ``APDetector.detect``, ``stream`` and ``detect_batch``; a
+    ``check_many`` batch records one run per corpus through ``check``.
     """
     registry = _REGISTRY
     if not registry.enabled:
         return
-    if stats.ingest_seconds:  # scans only: other runs have no ingest stage
+    if stats.ingest_seconds:  # a scan, or a stream's first chunk: its log read
         registry.stage_seconds.observe(stats.ingest_seconds, stage="ingest")
     registry.stage_seconds.observe(stats.parse_seconds, stage="parse")
     registry.stage_seconds.observe(stats.context_seconds, stage="context")

@@ -57,11 +57,9 @@ class _StageClock:
 class PipelineStats:
     """Per-stage timing and cache accounting for one pipeline run.
 
-    ``total_seconds`` is always wall-clock.  Stage seconds are wall-clock
-    too, except after a process-pool ``check_many`` merge, where they are
-    summed across concurrently-running workers (CPU-aggregate) and can
-    therefore exceed ``total_seconds`` — ``stage_semantics`` records which
-    interpretation applies.
+    Stage seconds and ``total_seconds`` are wall-clock.  A ``check_many``
+    batch merges its corpora's stages and times the whole batch as its
+    total, so there the stages sum to at most the total.
     """
 
     statements: int = 0
@@ -73,14 +71,12 @@ class PipelineStats:
     rank_seconds: float = 0.0
     fix_seconds: float = 0.0
     total_seconds: float = 0.0
-    workers: int = 1
     parallel_mode: str = "serial"
     annotation_cache_hits: int = 0
     annotation_cache_misses: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
     corpora: int = 1
-    stage_semantics: str = "wall-clock"
     #: quarantined :class:`repro.errors.PipelineError` records for this run;
     #: mirrors the report's error list so ``--stats`` consumers see them.
     errors: list = field(default_factory=list)
@@ -136,8 +132,7 @@ class PipelineStats:
 
     def merge(self, other: "PipelineStats") -> "PipelineStats":
         """Accumulate another run's stats into this one (stage times and
-        corpus counts add; worker counts take the maximum).  Totals,
-        ``parallel_mode`` and ``stage_semantics`` are the caller's."""
+        corpus counts add).  Totals and ``parallel_mode`` are the caller's."""
         self.statements += other.statements
         self.ingest_seconds += other.ingest_seconds
         self.parse_seconds += other.parse_seconds
@@ -145,7 +140,6 @@ class PipelineStats:
         self.detect_seconds += other.detect_seconds
         self.rank_seconds += other.rank_seconds
         self.fix_seconds += other.fix_seconds
-        self.workers = max(self.workers, other.workers)
         self.annotation_cache_hits += other.annotation_cache_hits
         self.annotation_cache_misses += other.annotation_cache_misses
         self.memo_hits += other.memo_hits
@@ -170,8 +164,6 @@ class PipelineStats:
             "statements_per_second": round(self.statements_per_second, 2),
             "stages": stages,
             "total_seconds": round(self.total_seconds, 6),
-            "stage_semantics": self.stage_semantics,
-            "workers": self.workers,
             "parallel_mode": self.parallel_mode,
             "corpora": self.corpora,
             "annotation_cache": {

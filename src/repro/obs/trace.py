@@ -7,9 +7,6 @@ without threading span objects through every call signature.  Disabled
 ``record()`` returns immediately — the hot paths additionally guard on
 ``tracer.enabled`` so they skip clock reads entirely.
 
-Spans live in one process: while the tracer is on, ``check_many`` skips
-its corpus pool, so every span of a traced run is recorded here.
-
 ``now`` is the one sanctioned monotonic clock for pipeline timing — the
 timing-hygiene conformance test forbids raw clock reads outside this
 package and reads of ``now`` outside it beyond two allowlisted sites, so

@@ -10,8 +10,8 @@ Every oracle returns a list of :class:`OracleFailure` (empty = pass):
   skip work, never findings: every rule it skips, run directly, must find
   nothing;
 * :func:`check_stats_accounting` — :class:`PipelineStats` totals must equal
-  the sum of the stage times (wall-clock semantics), catching double- or
-  un-counted stages on any pipeline path, including the serial fallbacks;
+  the sum of the stage times, catching double- or un-counted stages on
+  any pipeline path;
 * :func:`check_dbdeo_agreement` — on planted corpora for the rule subset
   both tools support, sqlcheck must fire, and the deliberately imprecise
   dbdeo baseline must agree on the obviously-planted instances;
@@ -269,24 +269,16 @@ def check_prefilter_soundness(
 def check_stats_accounting(
     stats: PipelineStats, *, subject: str = "pipeline"
 ) -> "list[OracleFailure]":
-    """Totals ≡ sum of stage times (wall-clock runs only).
-
-    Process-pool ``check_many`` merges are CPU-aggregate (stage sums exceed
-    wall-clock by design, recorded in ``stage_semantics``) — those only get
-    the weaker ``total > 0`` check.
-    """
+    """Totals ≡ sum of stage times (every run is wall-clock)."""
     failures: list[OracleFailure] = []
     stage_sum = stats.stage_seconds_sum()
     if stats.total_seconds < 0 or stage_sum < 0:
         failures.append(OracleFailure("stats", subject, "negative stage or total time"))
-    if stats.stage_semantics == "wall-clock":
-        if not math.isclose(stats.total_seconds, stage_sum, rel_tol=0.05, abs_tol=0.005):
-            failures.append(OracleFailure(
-                "stats", subject,
-                f"total_seconds {stats.total_seconds:.6f} drifts from stage sum "
-                f"{stage_sum:.6f} (mode {stats.parallel_mode})"))
-    elif stats.total_seconds <= 0:
-        failures.append(OracleFailure("stats", subject, "cpu-aggregate run with zero total"))
+    if not math.isclose(stats.total_seconds, stage_sum, rel_tol=0.05, abs_tol=0.005):
+        failures.append(OracleFailure(
+            "stats", subject,
+            f"total_seconds {stats.total_seconds:.6f} drifts from stage sum "
+            f"{stage_sum:.6f} (mode {stats.parallel_mode})"))
     return failures
 
 

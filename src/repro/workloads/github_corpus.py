@@ -121,7 +121,6 @@ def with_duplicates(
 def analyze_corpus(
     corpus: LabeledCorpus,
     *,
-    workers: int = 1,
     options: "SQLCheckOptions | None" = None,
 ) -> "BatchReport":
     """Run the full sqlcheck batch pipeline over a labelled corpus.
@@ -133,7 +132,7 @@ def analyze_corpus(
     from ..core.sqlcheck import SQLCheck, SQLCheckOptions
 
     toolchain = SQLCheck(options or SQLCheckOptions())
-    return toolchain.check_many(corpus.corpora(), workers=workers)
+    return toolchain.check_many(corpus.corpora())
 
 
 class GitHubCorpusGenerator:

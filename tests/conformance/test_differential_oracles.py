@@ -84,7 +84,6 @@ class TestStatsAccounting:
     def test_check_many_serial_merge_keeps_wall_clock_semantics(self):
         corpora = {"a": CorpusGenerator(5).corpus_sql(30), "b": CorpusGenerator(6).corpus_sql(30)}
         batch = SQLCheck().check_many(corpora, workers=1)
-        assert batch.stats.stage_semantics == "wall-clock"
         assert batch.stats.total_seconds >= 0
         # merged stage times never exceed the measured wall-clock total
         assert batch.stats.stage_seconds_sum() <= batch.stats.total_seconds * 1.05 + 0.005

@@ -21,8 +21,7 @@ SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: * quarantine sites — per-statement/per-rule/per-stage error capture that
 #:   converts failures into structured PipelineError records;
 #: * last-resort answer paths — a server thread or oracle that must report
-#:   a failure rather than die silently;
-#: * graceful fallbacks — a process pool that degrades to the serial path.
+#:   a failure rather than die silently.
 ALLOWED_BROAD_CATCHES = {
     # context builder: per-statement parse/annotate quarantine + profiling
     ("context/builder.py", "build"),
@@ -32,9 +31,8 @@ ALLOWED_BROAD_CATCHES = {
     ("detector/detector.py", "_iter_detections"),
     ("detector/detector.py", "_detect_statement"),
     # core: rank/fix quarantine (the detect/rank/fix body check and
-    # check_context share) and the batch pool fallback
+    # check_context share)
     ("core/sqlcheck.py", "_finish"),
-    ("core/sqlcheck.py", "check_many"),
     # REST: a handler bug must produce a JSON 500, not a dead socket
     ("interfaces/rest.py", "do_POST"),
     # persistent memo: a cache (de)serialisation failure of any kind must

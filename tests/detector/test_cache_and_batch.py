@@ -177,7 +177,7 @@ class TestBatchPipeline:
         corpus = GitHubCorpusGenerator(repos=5).generate()
         corpora = corpus.corpora()
         toolchain = SQLCheck(SQLCheckOptions(detector=DetectorConfig(enable_cache=False)))
-        batch = toolchain.check_many(corpora, workers=2)
+        batch = toolchain.check_many(corpora)
         assert set(batch.reports) == set(corpora)
         for source, queries in corpora.items():
             direct = SQLCheck(

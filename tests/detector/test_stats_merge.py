@@ -2,8 +2,7 @@
 
 Regression tests for a merge that dropped ``corpora`` (every batch
 reported ``corpora: 1`` no matter how many corpora were merged in).  The
-merge leaves ``parallel_mode``/``stage_semantics`` to its caller:
-``check_many`` sets the batch's own.
+merge leaves ``parallel_mode`` to its caller.
 """
 from __future__ import annotations
 
@@ -50,6 +49,5 @@ class TestCheckManyIntegrity:
         assert batch.stats.statements == 3
         # The per-corpus serial runs must not corrupt the batch's own labels.
         assert "mixed" not in batch.stats.parallel_mode
-        assert "mixed" not in batch.stats.stage_semantics
         payload = batch.stats.to_dict()
         assert payload["corpora"] == 3

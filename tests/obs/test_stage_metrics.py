@@ -2,8 +2,9 @@
 
 ``SQLCheck.check_context`` folds a run's ``PipelineStats`` into the
 registry, so ``check``, ``scan``, ``LiveScanner.stream`` and direct calls
-all record one sample per stage; a pooled ``check_many`` folds the stats
-its workers return, and the detect-only ``APDetector.detect`` and
+all record one sample per stage; ``check_many`` runs each corpus through
+``check`` in this process, so a batch records every series its corpora's
+separate checks would, and the detect-only ``APDetector.detect`` and
 ``stream`` fold their own runs.
 """
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro import SQLCheck
-from repro.core import sqlcheck as sqlcheck_module
 from repro.detector.detector import APDetector
 from repro.ingest import LiveScanner
 from repro.obs import MetricsRegistry, swap_registry
@@ -62,19 +62,34 @@ def test_stream_records_one_run_per_chunk(registry):
     )
 
 
-def test_pooled_check_many_records_like_the_serial_path(registry, monkeypatch):
-    # Let the corpus pool run on a single-CPU container too.
-    monkeypatch.setattr(
-        sqlcheck_module, "resolve_workers", lambda requested: min(requested, 2)
-    )
+#: the rule, cache and pre-filter series a corpus's check records.
+BATCH_COUNTERS = ("rule_fires", "memo_lookups", "annotation_cache_lookups", "prefilter_rules")
+
+
+def _series(registry) -> dict:
+    """Every count the runs recorded: each of ``BATCH_COUNTERS`` by label,
+    plus statements and stage samples."""
+    return {
+        **{
+            (name, tuple(sorted(labels.items()))): value
+            for name in BATCH_COUNTERS
+            for labels, value in getattr(registry, name).series()
+        },
+        "recorded": _recorded(registry),
+    }
+
+
+def test_check_many_records_what_its_corpora_checks_record(registry):
     corpora = {f"repo{seed}": CorpusGenerator(seed).corpus_sql(40)[:40] for seed in range(4)}
-    SQLCheck().check_many(corpora, workers=1)
-    expected = _recorded(registry)
-    assert expected == (160, 20)
+    toolchain = SQLCheck()
+    for source, queries in corpora.items():
+        toolchain.check(queries, source=source)
+    expected = _series(registry)
+    assert expected["recorded"] == (160, 20)
+    assert all(getattr(registry, name).total() > 0 for name in BATCH_COUNTERS)
     registry.reset()
-    pooled = SQLCheck().check_many(corpora, workers=2)
-    assert pooled.stats.parallel_mode == "process-pool"
-    assert _recorded(registry) == expected
+    SQLCheck().check_many(corpora, workers=2)
+    assert _series(registry) == expected
 
 
 DETECT_ONLY = ["SELECT * FROM orders", "SELECT id FROM users WHERE name LIKE '%ann%'"]
