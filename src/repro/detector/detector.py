@@ -231,19 +231,23 @@ class APDetector:
         queries: "Sequence[str] | str",
         *,
         source: str | None = None,
+        stats: "PipelineStats | None" = None,
     ) -> "tuple[DetectionReport, PipelineStats]":
         """Corpus-scale detection over a statement list or one script.
 
         Parses through the context builder's cached path, as :meth:`detect`
         does, then detects over the whole workload so inter-query rules see
         every statement.  Returns the report together with per-stage
-        :class:`PipelineStats`.
+        :class:`PipelineStats`: ``stats`` when given, an already-started
+        run's (a stream's log read is its first chunk's ``ingest`` stage),
+        else a fresh one.
         """
         if not isinstance(queries, str):
             queries = list(queries)
-        stats = PipelineStats()
+        if stats is None:
+            stats = PipelineStats()
         corpus_key = self.input_key(queries, source) if self.persistent is not None else None
-        with get_tracer().span("detect_batch") as batch_span:
+        with stats.span("detect_batch") as batch_span:
             # Whole-corpus replay: when a prior clean run of this exact input
             # (ordered exact texts + registry digest + thresholds + flags +
             # source) is in the persistent store, serve its final detections

@@ -268,14 +268,20 @@ class LiveScanner:
         """Detection-only streaming through :meth:`APDetector.detect_batch`.
 
         Yields ``(DetectionReport, PipelineStats)`` per chunk — the raw
-        corpus-scale path, with no ranking or fixes.
+        corpus-scale path, with no ranking or fixes.  Reading the workload
+        log is the first chunk's ``ingest`` stage, as in :meth:`stream`.
         """
-        log = _coerce_workload(workload, log_format)
+        stats = PipelineStats()
+        with stats.stage("ingest"):
+            log = _coerce_workload(workload, log_format)
         if log is None:
             raise ConnectorError("stream_detect needs a workload log")
         label = source or log.source
         for piece in log.slices(chunk_size):
-            yield self.toolchain.detector.detect_batch(piece.statements(), source=label)
+            yield self.toolchain.detector.detect_batch(
+                piece.statements(), source=label, stats=stats
+            )
+            stats = PipelineStats()
 
 
 def scan(

@@ -12,8 +12,9 @@ same two readings.  The cache fields are deltas of the caches' own
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
-from .trace import get_tracer, now
+from .trace import _NOOP_SPAN, _SpanContext, get_tracer, now
 
 
 class _StageClock:
@@ -91,6 +92,18 @@ class PipelineStats:
         ``context``, ``detect``, ``rank`` or ``fix``) of this run; see the
         module docstring."""
         return _StageClock(self, name)
+
+    def span(self, name: str, **attributes: Any):
+        """A tracer span around the rest of this run; no-op when tracing is
+        off.  It opens at the stage clock's current reading, so a run that
+        continues a stage timed before the call (a stream's ``ingest``
+        stage, ahead of its first chunk) keeps its later stages inside the
+        span; a run that has not started opens it now, as
+        :meth:`Tracer.span` does."""
+        tracer = get_tracer()
+        if not tracer.enabled:
+            return _NOOP_SPAN
+        return _SpanContext(tracer, name, attributes, self._mark)
 
     @property
     def degraded(self) -> bool:

@@ -86,16 +86,23 @@ _NOOP_SPAN = _NoopSpanContext()
 class _SpanContext:
     """Context manager for one live span: times it and manages the stack."""
 
-    __slots__ = ("_tracer", "_name", "_attributes", "_span")
+    __slots__ = ("_tracer", "_name", "_attributes", "_start", "_span")
 
-    def __init__(self, tracer: "Tracer", name: str, attributes: "dict[str, Any]"):
+    def __init__(
+        self,
+        tracer: "Tracer",
+        name: str,
+        attributes: "dict[str, Any]",
+        start: "float | None" = None,
+    ):
         self._tracer = tracer
         self._name = name
         self._attributes = attributes
+        self._start = start
         self._span: "Span | None" = None
 
     def __enter__(self) -> Span:
-        self._span = self._tracer._open(self._name, self._attributes)
+        self._span = self._tracer._open(self._name, self._attributes, self._start)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> bool:

@@ -22,13 +22,27 @@ _PARENT_COLUMN_RE = re.compile(r"^(parent|manager|supervisor|reports_to)(_id)?$"
 #: just after ``,``, ``(`` or ``)``), at the segment's first word: a search
 #: from a later start in the same segment can only fail, so one start per
 #: segment finds every match without rescanning the segment from each of
-#: its characters.
+#: its characters.  The first branch takes the whole first word through a
+#: capturing lookahead, which is atomic: a failing match does not retry
+#: every split of the word against ``[^,()]*``, so it costs linear time.
+#: The second keeps the case where the column is a proper prefix of the
+#: word (``xREFERENCES y``).  Groups 1 and 2, or 3 and 4, hold the column
+#: and the referenced table; :func:`_self_reference` reads them.
 _SELF_REFERENCE_RE = re.compile(
-    r"(?:(?<=[,()])|^)[^\w,()]*(\w+)[^,()]*REFERENCES\s+(\w+)", re.IGNORECASE
+    r"(?:(?<=[,()])|^)[^\w,()]*"
+    r"(?:(?=(\w+))\1[^,()]*REFERENCES\s+(\w+)|(\w+?)REFERENCES\s+(\w+))",
+    re.IGNORECASE,
 )
 _PARENT_POINTER_RE = re.compile(r"\b(parent_\w+|manager_id|supervisor_id|reports_to)\b", re.IGNORECASE)
 _NUMBERED_COLUMN_RE = re.compile(r"^(?P<prefix>[A-Za-z_]+?)_?(?P<number>\d+)$")
 _CLONE_TABLE_RE = re.compile(r"^(?P<prefix>.+?)_(?P<suffix>\d{1,6})$")
+
+
+def _self_reference(match: "re.Match[str]") -> "tuple[str, str]":
+    """(column, referenced table) of a :data:`_SELF_REFERENCE_RE` match."""
+    if match.group(2) is not None:
+        return match.group(1), match.group(2)
+    return match.group(3), match.group(4)
 
 
 class MultiValuedAttributeRule(QueryRule):
@@ -757,7 +771,7 @@ class AdjacencyListRule(QueryRule):
             raw = annotation.raw
             # self-referencing REFERENCES
             for match in _SELF_REFERENCE_RE.finditer(raw):
-                column, referenced = match.group(1), match.group(2)
+                column, referenced = _self_reference(match)
                 if referenced.lower() == table_name.lower():
                     detections.append(
                         self.make_detection(

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
+from .keywords import COMPARISON_OPERATORS
 from .parser import ParsedStatement, parse_statement
 from .tokens import Token, TokenType
 
@@ -49,6 +51,16 @@ _JOIN_KEYWORDS = {
 }
 
 _PATTERN_OPERATORS = {"LIKE", "NOT LIKE", "ILIKE", "NOT ILIKE", "REGEXP", "RLIKE", "SIMILAR TO", "GLOB"}
+
+_MEMBERSHIP_OPERATORS = {"IN", "NOT IN", "BETWEEN", "NOT BETWEEN", "IS", "IS NOT"}
+
+#: The normalized text of every token a predicate can hinge on: the lexer's
+#: comparison operators and the pattern and membership keywords.  No other
+#: token normalizes to one of these (keywords are words, comparisons are
+#: symbols, and names, literals and quoted names keep their own text).
+_PREDICATE_OPERATORS = frozenset(COMPARISON_OPERATORS) | _PATTERN_OPERATORS | _MEMBERSHIP_OPERATORS
+
+_normalized = attrgetter("normalized")
 
 _RANDOM_FUNCTIONS = {"RAND", "RANDOM", "NEWID"}
 
@@ -266,12 +278,14 @@ class QueryAnnotator:
         current_name = "head"
         current: list[Token] = []
         depth = 0
+        punctuation = TokenType.PUNCTUATION
         for token in tokens:
-            if token.ttype is TokenType.PUNCTUATION and token.value == "(":
-                depth += 1
-            elif token.ttype is TokenType.PUNCTUATION and token.value == ")":
-                depth = max(0, depth - 1)
-            if depth == 0 and token.is_keyword:
+            if token.ttype is punctuation:
+                if token.value == "(":
+                    depth += 1
+                elif token.value == ")":
+                    depth = max(0, depth - 1)
+            elif depth == 0 and token.is_keyword:
                 keyword = token.normalized
                 if keyword in _JOIN_KEYWORDS:
                     clauses.append((current_name, current))
@@ -388,8 +402,6 @@ class QueryAnnotator:
         annotation.predicates.extend(self._extract_predicates(tokens, clause="ddl"))
 
     def _ddl_target_table(self, statement_type: str, tokens: list[Token]) -> str | None:
-        names = [t for t in tokens if t.is_identifier]
-        upper = [t.normalized for t in tokens if t.is_keyword]
         if statement_type in ("CREATE_TABLE", "ALTER_TABLE", "TRUNCATE", "DROP"):
             skip = {"IF", "NOT", "EXISTS", "TEMP", "TEMPORARY", "ONLY"}
             for token in tokens:
@@ -409,8 +421,10 @@ class QueryAnnotator:
                     continue
                 if on_seen and token.is_identifier:
                     return token.unquoted()
-        if names and statement_type not in ("CREATE_INDEX",):
-            return names[0].unquoted()
+        if statement_type != "CREATE_INDEX":
+            for token in tokens:
+                if token.is_identifier:
+                    return token.unquoted()
         return None
 
     # ------------------------------------------------------------------
@@ -486,28 +500,26 @@ class QueryAnnotator:
 
     def _extract_predicates(self, tokens: list[Token], clause: str) -> list[Predicate]:
         """Extract simple binary predicates from a condition token run."""
+        operators = _PREDICATE_OPERATORS
+        if operators.isdisjoint(map(_normalized, tokens)):
+            return []
         predicates: list[Predicate] = []
-        i = 0
-        while i < len(tokens):
-            token = tokens[i]
-            is_comparison = token.ttype is TokenType.COMPARISON
-            is_pattern = token.is_keyword and token.normalized in _PATTERN_OPERATORS
-            is_membership = token.is_keyword and token.normalized in ("IN", "NOT IN", "BETWEEN", "NOT BETWEEN", "IS", "IS NOT")
-            if is_comparison or is_pattern or is_membership:
-                column = self._operand_column(tokens, i - 1, direction=-1)
-                value_literal, value_column = self._operand_value(tokens, i + 1)
-                operator = token.normalized
-                if column is not None or value_column is not None:
-                    predicates.append(
-                        Predicate(
-                            column=column,
-                            operator=operator,
-                            value=value_literal,
-                            value_column=value_column,
-                            clause=clause,
-                        )
+        for i, token in enumerate(tokens):
+            operator = token.normalized
+            if operator not in operators:
+                continue
+            column = self._operand_column(tokens, i - 1, direction=-1)
+            value_literal, value_column = self._operand_value(tokens, i + 1)
+            if column is not None or value_column is not None:
+                predicates.append(
+                    Predicate(
+                        column=column,
+                        operator=operator,
+                        value=value_literal,
+                        value_column=value_column,
+                        clause=clause,
                     )
-            i += 1
+                )
         return predicates
 
     def _operand_column(self, tokens: list[Token], index: int, direction: int) -> ColumnReference | None:
@@ -559,13 +571,25 @@ class QueryAnnotator:
         return None
 
     def _collect_functions_and_literals(self, annotation: QueryAnnotation, tokens: list[Token]) -> None:
-        for i, token in enumerate(tokens):
-            if token.ttype is TokenType.STRING:
+        # Enum members bound once: each ``TokenType.X`` read is an attribute
+        # lookup on the enum class, dearer than the rest of a token's visit.
+        NAME, PUNCTUATION, STRING, OPERATOR = (
+            TokenType.NAME, TokenType.PUNCTUATION, TokenType.STRING, TokenType.OPERATOR
+        )
+        name = None  # the previous token, when it is a name
+        for token in tokens:
+            ttype = token.ttype
+            if ttype is NAME:
+                name = token
+                continue
+            if ttype is PUNCTUATION:
+                if name is not None and token.value == "(":
+                    annotation.functions.add(name.value.upper())
+            elif ttype is STRING:
                 annotation.string_literals.append(token.unquoted())
-            if token.ttype is TokenType.OPERATOR and token.value == "||":
+            elif ttype is OPERATOR and token.value == "||":
                 annotation.uses_concat_operator = True
-            if token.ttype is TokenType.NAME and i + 1 < len(tokens) and tokens[i + 1].value == "(":
-                annotation.functions.add(token.value.upper())
+            name = None
 
 
 def _strip_quotes(name: str) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .ast import Statement
 from .grouping import group_statement
 from .lexer import tokenize
-from .splitter import split_tokens
+from .splitter import split_meaningful
 from .tokens import Token, TokenStream, TokenType
 
 #: Statement types recognised by :func:`classify_statement`.
@@ -152,7 +152,12 @@ class ParsedStatement:
 
 def classify_statement(tokens: list[Token]) -> str:
     """Infer the statement type from the first few meaningful tokens."""
-    meaningful = [t for t in tokens if not t.is_whitespace and not t.is_comment]
+    return _classify([t for t in tokens if not t.is_whitespace and not t.is_comment])
+
+
+def _classify(meaningful: list[Token]) -> str:
+    """:func:`classify_statement` over the tokens that are not whitespace or
+    comments."""
     if not meaningful:
         return "EMPTY"
     # Skip a leading WITH ... CTE prelude by finding the first DML keyword.
@@ -202,14 +207,16 @@ def classify_statement(tokens: list[Token]) -> str:
 def parse_statement(sql: str, index: int = 0, source: str | None = None) -> ParsedStatement:
     """Parse a single statement string."""
     tokens = tokenize(sql)
-    statement_type = classify_statement(tokens)
-    return ParsedStatement(
+    meaningful = [t for t in tokens if not t.is_whitespace and not t.is_comment]
+    statement = ParsedStatement(
         raw=sql,
         tokens=tokens,
-        statement_type=statement_type,
+        statement_type=_classify(meaningful),
         index=index,
         source=source,
     )
+    statement._meaningful = meaningful
+    return statement
 
 
 def parse(sql: str, source: str | None = None) -> list[ParsedStatement]:
@@ -226,38 +233,32 @@ def parse(sql: str, source: str | None = None) -> list[ParsedStatement]:
     # instead of rescanning the prefix per statement (quadratic on the
     # corpus-scale path otherwise).
     line, scanned = 1, 0
-    for i, stmt_tokens in enumerate(split_tokens(all_tokens)):
-        raw = "".join(t.value for t in stmt_tokens).strip()
-        statement_type = classify_statement(stmt_tokens)
-        meaningful = [t for t in stmt_tokens if not t.is_whitespace and not t.is_comment]
-        if meaningful:
-            offset = meaningful[0].position
-            # A token's source extent ends where the next token begins:
-            # folded compound keywords carry a normalised value ("NOT  NULL"
-            # becomes "NOT NULL"), so len(value) understates the consumed
-            # source.  The successor is searched within the chunk; a
-            # meaningful chunk-final token is either the script's last
-            # token (extent = len(sql)) or a one-char ";" (len is exact).
-            last = meaningful[-1]
-            j = len(stmt_tokens) - 1
-            while stmt_tokens[j] is not last:
-                j -= 1
-            if j + 1 < len(stmt_tokens):
-                end = stmt_tokens[j + 1].position
-            elif last is last_token:
-                end = len(sql)
-            else:
-                end = last.position + len(last.value)
+    for i, (stmt_tokens, meaningful) in enumerate(split_meaningful(all_tokens)):
+        raw = "".join([t.value for t in stmt_tokens]).strip()
+        offset = meaningful[0].position
+        # A token's source extent ends where the next token begins: folded
+        # compound keywords carry a normalised value ("NOT  NULL" becomes
+        # "NOT NULL"), so len(value) understates the consumed source.  The
+        # successor is searched within the chunk; a meaningful chunk-final
+        # token is either the script's last token (extent = len(sql)) or a
+        # one-char ";" (len is exact).
+        last = meaningful[-1]
+        j = len(stmt_tokens) - 1
+        while stmt_tokens[j] is not last:
+            j -= 1
+        if j + 1 < len(stmt_tokens):
+            end = stmt_tokens[j + 1].position
+        elif last is last_token:
+            end = len(sql)
         else:
-            offset = stmt_tokens[0].position if stmt_tokens else 0
-            end = offset
+            end = last.position + len(last.value)
         if offset > scanned:
             line += sql.count("\n", scanned, offset)
             scanned = offset
         statement = ParsedStatement(
             raw=raw,
             tokens=stmt_tokens,
-            statement_type=statement_type,
+            statement_type=_classify(meaningful),
             index=i,
             source=source,
             offset=offset,
@@ -266,8 +267,8 @@ def parse(sql: str, source: str | None = None) -> list[ParsedStatement]:
             end_line=line + sql.count("\n", offset, end),
             span_matches_raw=sql[offset:end] == raw,
         )
-        # ``meaningful`` was just computed for the span math — seed the cache
-        # so the annotator's first meaningful_tokens() call is free.
+        # The split collected ``meaningful`` — seed the cache so the
+        # annotator's first meaningful_tokens() call is free.
         statement._meaningful = meaningful
         statements.append(statement)
     return statements

@@ -13,23 +13,39 @@ from .tokens import Token, TokenType
 
 def split_tokens(tokens: list[Token]) -> list[list[Token]]:
     """Split a flat token list into one token list per statement."""
-    statements: list[list[Token]] = []
-    current: list[Token] = []
+    return [statement for statement, _ in split_meaningful(tokens)]
+
+
+def split_meaningful(tokens: list[Token]) -> "list[tuple[list[Token], list[Token]]]":
+    """Split a flat token list into statements, each with its meaningful tokens.
+
+    One pass: each statement's tokens other than whitespace and comments are
+    collected as it is walked.  A statement whose only such token is its
+    ``;`` is dropped.
+    """
+    statements: list[tuple[list[Token], list[Token]]] = []
+    meaningful: list[Token] = []
+    start = 0
     depth = 0
-    for token in tokens:
-        if token.ttype is TokenType.PUNCTUATION and token.value == "(":
-            depth += 1
-        elif token.ttype is TokenType.PUNCTUATION and token.value == ")":
-            depth = max(0, depth - 1)
-        if token.ttype is TokenType.PUNCTUATION and token.value == ";" and depth == 0:
-            current.append(token)
-            if _has_content(current):
-                statements.append(current)
-            current = []
+    punctuation = TokenType.PUNCTUATION
+    for index, token in enumerate(tokens):
+        if token.is_whitespace or token.is_comment:
             continue
-        current.append(token)
-    if _has_content(current):
-        statements.append(current)
+        meaningful.append(token)
+        if token.ttype is punctuation:
+            value = token.value
+            if value == "(":
+                depth += 1
+            elif value == ")":
+                if depth:
+                    depth -= 1
+            elif value == ";" and not depth:
+                if len(meaningful) > 1:
+                    statements.append((tokens[start : index + 1], meaningful))
+                meaningful = []
+                start = index + 1
+    if meaningful:
+        statements.append((tokens[start:], meaningful))
     return statements
 
 
@@ -41,10 +57,3 @@ def split(sql: str) -> list[str]:
     """
     statements = split_tokens(tokenize(sql))
     return ["".join(t.value for t in stmt).strip() for stmt in statements]
-
-
-def _has_content(tokens: list[Token]) -> bool:
-    return any(
-        not t.is_whitespace and not t.is_comment and not (t.ttype is TokenType.PUNCTUATION and t.value == ";")
-        for t in tokens
-    )

@@ -5,8 +5,8 @@ the reading where the previous one ended, and ``total_seconds`` is the
 last end minus the first start, so the stages sum to the total.  While
 tracing, the same two readings open and close the ``stage:<name>`` span.
 The cases below hold both for every entry point, a replayed ``check``
-and the workload-log read of a scan and of a stream's first chunk (their
-``ingest`` stage) included, and pin
+and the workload-log read of a scan and of the first chunk of a stream
+and of a detection-only stream (their ``ingest`` stage) included, and pin
 the two counted guards the clock's move rests on: an untraced run builds
 no span, and each cache lookup is counted once, so ``/metrics``' lookup
 counters grow by exactly a run's ``PipelineStats`` cache fields.
@@ -31,7 +31,7 @@ CORPUS = CorpusGenerator(5).corpus_sql(60)
 STAGES = ("ingest", "parse", "context", "detect", "rank", "fix")
 #: runs that read a workload log, which their first report's ingest stage
 #: must time (a stream's later chunks read nothing).
-INGESTING = ("scan", "stream")
+INGESTING = ("scan", "stream", "stream_detect")
 
 
 def _check(tmp_path):
@@ -70,6 +70,12 @@ def _stream(tmp_path):
         yield report.stats
 
 
+def _stream_detect(tmp_path):
+    scanner = LiveScanner()
+    for _, stats in scanner.stream_detect(_write_log(tmp_path, CORPUS), chunk_size=16):
+        yield stats
+
+
 def _detect_batch(tmp_path):
     yield APDetector(DetectorConfig()).detect_batch(CORPUS)[1]
 
@@ -99,6 +105,7 @@ RUNS = {
     "check_context": _direct_check_context,
     "scan": _scan,
     "stream": _stream,
+    "stream_detect": _stream_detect,
     "detect_batch": _detect_batch,
     "persistent_replay": _persistent_replay,
     "replay": _replay,

@@ -1,9 +1,13 @@
 """The adjacency-list rule's self-reference pattern, anchored at column
-segments, finds exactly what the unanchored pattern found.
+segments and linear in the segment's length, finds exactly what the
+unanchored pattern found.
 
 The reference below is the pattern the rule used before it was anchored,
-kept verbatim.  Both are compared match for match (each group's text and
-span) on fuzzed column lists; the golden corpus pins the rule's output.
+kept verbatim.  Both are compared match for match (the column's and the
+referenced table's text and span) on fuzzed column lists; the golden
+corpus pins the rule's output.  The rule's pattern holds them in groups 1
+and 2, or in groups 3 and 4 when the column is a proper prefix of the word
+before ``REFERENCES``; the reference in groups 1 and 2.
 """
 from __future__ import annotations
 
@@ -34,9 +38,11 @@ TEXTS = st.one_of(
 
 
 def _matches(pattern: "re.Pattern[str]", text: str) -> list:
-    return [
-        (m.group(1), m.span(1), m.group(2), m.span(2)) for m in pattern.finditer(text)
-    ]
+    found = []
+    for m in pattern.finditer(text):
+        column, table = (1, 2) if m.group(2) is not None else (3, 4)
+        found.append((m.group(column), m.span(column), m.group(table), m.span(table)))
+    return found
 
 
 @settings(max_examples=1000, deadline=None)
@@ -58,4 +64,19 @@ def test_examples_from_the_rule():
     assert _matches(_SELF_REFERENCE_RE, texts[1]) == [
         ("a", (16, 17), "u", (33, 34)),
         ("c", (47, 48), "t", (64, 65)),
+    ]
+
+
+def test_a_10000_character_word():
+    """The shape that backtracked quadratically before the first word was
+    taken atomically.  Equality only, no timing: the expected matches are
+    spelled out, because the unanchored reference itself takes cubic time
+    on a word this long."""
+    word = "a" * 10_000
+    assert _matches(_SELF_REFERENCE_RE, f"CREATE TABLE x ({word} REFERENCES)") == []
+    text = f"CREATE TABLE x ({word} INT REFERENCES x(id), {word}REFERENCES y)"
+    second = text.index(word, 16 + len(word))
+    assert _matches(_SELF_REFERENCE_RE, text) == [
+        (word, (16, 16 + len(word)), "x", (text.index(" x(") + 1, text.index(" x(") + 2)),
+        (word, (second, second + len(word)), "y", (len(text) - 2, len(text) - 1)),
     ]
