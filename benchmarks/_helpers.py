@@ -3,12 +3,14 @@
 Each benchmark reproduces one table or figure of the paper: it runs the
 relevant workload, prints the rows/series the paper reports (so the shape can
 be compared side by side with the publication), and asserts the qualitative
-claims (who wins, by roughly what factor, where crossovers fall).
+claims (who wins, by roughly what factor, where crossovers fall).  The
+performance figures count SQLite's VDBE steps (:func:`steps`), which are the
+same on every run, instead of timing the queries.
 """
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Iterable, Sequence
+import sqlite3
+from typing import Any, Iterable, Sequence
 
 
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -38,18 +40,27 @@ def _fmt(cell: Any) -> str:
     return str(cell)
 
 
-def measure(fn: Callable[[], Any], repeats: int = 3) -> float:
-    """Average wall-clock seconds of ``fn`` over ``repeats`` runs."""
-    total = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        total += time.perf_counter() - start
-    return total / repeats
+def steps(connection: sqlite3.Connection, *statements: str) -> int:
+    """The VDBE steps SQLite takes to run ``statements`` to completion, in
+    order (a progress handler called at every step counts them)."""
+    count = 0
+
+    def tick() -> None:
+        nonlocal count
+        count += 1
+
+    connection.set_progress_handler(tick, 1)
+    try:
+        for statement in statements:
+            connection.execute(statement).fetchall()
+    finally:
+        connection.set_progress_handler(None, 1)
+    return count
 
 
 def speedup(with_ap: float, without_ap: float) -> float:
-    """Speedup factor obtained by fixing the anti-pattern."""
+    """Speedup factor obtained by fixing the anti-pattern (a ratio of step
+    counts or of costs)."""
     if without_ap <= 0:
         return float("inf")
     return with_ap / without_ap

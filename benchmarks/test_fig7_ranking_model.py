@@ -6,7 +6,8 @@ Figure 6 defines the scoring formula, Figure 7a the two weight configurations
 under C1 Index Underuse wins (0.21 vs 0.175); under C2 Enumerated Types wins
 (0.12 vs ~0.47).  This benchmark recomputes the scores, prints the Figure 7
 table, and additionally derives the Enumerated-Types metrics empirically from
-the Figure 8 style micro-experiment (the model-retraining loop of §5).
+the Figure 8 style micro-experiment (the model-retraining loop of §5), on
+SQLite's VDBE step counts.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from repro.model import AntiPattern, Detection
 from repro.ranking import APMetrics, APRanker, C1, C2, MetricEstimator
 from repro.workloads import GlobaLeaksWorkload
 
-from ._helpers import measure, print_table
+from ._helpers import print_table, steps
 
 FIGURE_7B = {
     AntiPattern.INDEX_UNDERUSE: APMetrics(read_performance=1.5),
@@ -73,38 +74,26 @@ def test_fig7_ordering_flip_with_detections(benchmark):
 
 def test_fig7_metrics_recalibrated_from_engine(benchmark):
     """§5's retraining loop: measure the Enumerated Types write impact on the
-    engine and verify the recalibrated model still produces the C2 flip."""
+    database engine (SQLite, in VDBE steps) and verify the recalibrated
+    model still produces the C2 flip."""
     workload = GlobaLeaksWorkload(tenants=400)
     ap_db = workload.build_ap_database()
     fixed_db = workload.build_fixed_database()
 
     def measure_enumerated_types():
         estimator = MetricEstimator(base=dict(FIGURE_7B))
-
-        def rename_with_ap():
-            ap_db.execute("ALTER TABLE Users DROP CONSTRAINT IF EXISTS User_Role_Check")
-            ap_db.execute("UPDATE Users SET Role = 'R5' WHERE Role = 'R2'")
-            ap_db.execute("UPDATE Users SET Role = 'R2' WHERE Role = 'R5'")
-            ap_db.execute(
-                "ALTER TABLE Users ADD CONSTRAINT User_Role_Check CHECK (Role IN ('R1','R2','R3'))"
-            )
-
-        def rename_fixed():
-            fixed_db.execute("UPDATE Role SET Role_Name = 'R5' WHERE Role_Name = 'R2'")
-            fixed_db.execute("UPDATE Role SET Role_Name = 'R2' WHERE Role_Name = 'R5'")
-
         estimator.record_measurement(
             AntiPattern.ENUMERATED_TYPES,
             kind="update",
-            with_ap=measure(rename_with_ap, repeats=1),
-            without_ap=measure(rename_fixed, repeats=1),
+            with_ap=steps(ap_db, *workload.rename_role_ap()),
+            without_ap=steps(fixed_db, *workload.rename_role_fixed()),
         )
         return estimator.apply()
 
     metrics = benchmark.pedantic(measure_enumerated_types, rounds=1, iterations=1)
     measured_wp = metrics[AntiPattern.ENUMERATED_TYPES].write_performance
     print_table(
-        "Figure 7b recalibrated from the engine",
+        "Figure 7b recalibrated from SQLite step counts",
         ["anti-pattern", "write speedup (measured)", "paper"],
         [["Enumerated Types", round(measured_wp, 1), ">10x"]],
     )

@@ -3,7 +3,7 @@
 The paper deploys 15 Django applications, runs sqlcheck on the SQL their ORM
 issues, detects 123 anti-patterns in total, and reports the 32 highest-impact
 ones upstream.  Here each application is a synthetic ORM-style workload plus
-a populated engine database carrying the anti-patterns Table 7 attributes to
+a populated SQLite database carrying the anti-patterns Table 7 attributes to
 it.  The reproduced claims: every reported anti-pattern type is re-detected
 in its application, every application yields multiple detections, and the
 reported subset sits at the top of ap-rank's ordering.

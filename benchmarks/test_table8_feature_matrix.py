@@ -11,9 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SQLCheck
-from repro.engine import Database
 from repro.fixer import FixKind
 from repro.model import AntiPattern
+from repro.workloads.sqlite import sqlite_database
 
 from ._helpers import print_table
 
@@ -48,9 +48,10 @@ def _exercise_sqlcheck_capabilities():
     ) and any(s.startswith("DROP INDEX") for s in statements)
 
     # Column type suggestions based on data.
-    db = Database()
-    db.execute("CREATE TABLE R (r_key INTEGER PRIMARY KEY, year_text TEXT)")
-    db.insert_rows("R", [{"r_key": i, "year_text": str(1990 + i % 20)} for i in range(60)])
+    db = sqlite_database(
+        ["CREATE TABLE R (r_key INTEGER PRIMARY KEY, year_text TEXT)"],
+        {"R": [{"r_key": i, "year_text": str(1990 + i % 20)} for i in range(60)]},
+    )
     data_report = toolchain.check((), database=db)
     capabilities["Column type suggestions based on data"] = any(
         fix.detection.anti_pattern is AntiPattern.INCORRECT_DATA_TYPE and "ALTER TABLE" in " ".join(fix.statements)

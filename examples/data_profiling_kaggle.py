@@ -18,9 +18,11 @@ def main() -> None:
         "The History of Baseball", "Soccer Dataset", "SF Bay Area Bike Share")]
     toolchain = SQLCheck()
     for spec in chosen:
-        database = build_kaggle_database(spec)
+        database = build_kaggle_database(spec)  # an open sqlite3.Connection
         report = toolchain.check((), database=database)
-        print(f"== {spec.name} ({database.get_table(database.table_names()[0]).row_count} rows sampled) ==")
+        table = database.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchone()[0]
+        rows = database.execute(f'SELECT COUNT(*) FROM "{table}"').fetchone()[0]
+        print(f"== {spec.name} ({rows} rows sampled) ==")
         if not report.detections:
             print("  no anti-patterns found")
         for entry in report.detections:

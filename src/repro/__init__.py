@@ -7,8 +7,9 @@ database applications.  The public API mirrors the paper's components:
 * :class:`repro.APDetector` — ap-detect (query + data analysis);
 * :class:`repro.APRanker` — ap-rank (impact-based ordering);
 * :class:`repro.APFixer` — ap-fix (rule-based query repair);
-* :class:`repro.Database` — the in-memory engine used for data analysis and
-  for the performance experiments.
+* :func:`repro.scan` / :func:`repro.connect` — live databases (an open
+  ``sqlite3.Connection``, a path or a ``sqlite:///`` URL; every
+  ``database=`` argument accepts the same).
 
 Quickstart::
 
@@ -21,7 +22,6 @@ from .core.finder import find_anti_patterns
 from .core.sqlcheck import BatchReport, SQLCheck, SQLCheckOptions, SQLCheckReport
 from .detector.detector import APDetector, DetectorConfig
 from .obs import PipelineStats
-from .engine.database import Database
 from .fixer.fix import Fix, FixKind
 from .ingest import LiveScanner, WorkloadLog, connect, read_workload_log, scan
 from .fixer.repair_engine import APFixer, QueryRepairEngine
@@ -45,7 +45,6 @@ __all__ = [
     "BatchReport",
     "C1",
     "C2",
-    "Database",
     "Detection",
     "DetectionReport",
     "DetectorConfig",

@@ -98,6 +98,8 @@ class ApplicationContext:
     queries: list[QueryAnnotation] = field(default_factory=list)
     schema: Schema = field(default_factory=Schema)
     profiles: dict[str, TableProfile] = field(default_factory=dict)
+    #: the live database's connector (``get_table(name).all_rows()`` serves
+    #: the data and fix rules their rows); None without a database.
     database: Any | None = None
     dialect: Dialect = GENERIC
     source: str | None = None

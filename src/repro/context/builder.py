@@ -4,16 +4,24 @@ Builds the :class:`ApplicationContext` from the application's queries and —
 when available — its database.  Query analysis always runs; schema context
 comes from the live database's catalog when connected, otherwise from the
 DDL statements found in the workload; data context comes from profiling the
-database's tables.
+database's tables.  A database enters a context only through its connector
+(:meth:`ContextBuilder.attach`), the path a live scan takes.
 """
 from __future__ import annotations
 
 import copy
-from typing import Any, Sequence
+import gc
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..catalog.ddl_builder import DDLBuilder
 from ..catalog.schema import Schema, Table
-from ..errors import CODE_PARSE_ERROR, CODE_PROFILE_ERROR, PipelineError
+from ..errors import (
+    CODE_CIRCUIT_OPEN,
+    CODE_PARSE_ERROR,
+    CODE_SOURCE_UNAVAILABLE,
+    PipelineError,
+)
 from ..obs import PipelineStats, get_metrics
 from ..profiler.profiler import DataProfiler
 from ..profiler.sampler import Sampler
@@ -21,6 +29,28 @@ from ..sqlparser import AnnotationCache, ParsedStatement, QueryAnnotation, annot
 from ..sqlparser.dialects import Dialect, get_dialect
 from ..sqlparser.fingerprint import MAX_CACHED_STATEMENTS
 from .application_context import ApplicationContext
+
+
+@contextmanager
+def collector_paused() -> "Iterator[None]":
+    """Hold the cyclic garbage collector off for the length of one run.
+
+    A run's tokens, parse trees, annotations and detections stay reachable
+    until it ends, so collections inside it free nothing: a cold detect of
+    10,275 statements ran six full collections over a heap growing to
+    600,000 objects, collected none, and spent a fifth of its time there.
+    Cyclic garbage made meanwhile waits for the first collection after the
+    run.  A collector that is already off is left alone; a concurrent run
+    on another thread may turn it back on early, which costs only speed.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class ContextBuilder:
@@ -65,7 +95,11 @@ class ContextBuilder:
         *,
         quarantine: bool = False,
     ) -> ApplicationContext:
-        """Build a context from queries and an optional engine database.
+        """Build a context from queries and an optional live database.
+
+        ``database`` is anything :func:`~repro.ingest.connectors.connect`
+        accepts (an open ``sqlite3.Connection``, a path, a ``sqlite:///``
+        URL, a connector); :meth:`attach` connects it as a scan does.
 
         ``stats`` (a :class:`~repro.obs.PipelineStats`; a fresh one when
         omitted, so a traced run keeps its stage spans) times the parse
@@ -76,7 +110,8 @@ class ContextBuilder:
         With ``quarantine=True`` a statement that fails to parse or annotate
         is recorded as a :class:`~repro.errors.PipelineError` on
         ``context.errors`` and dropped; the remaining statements still build
-        normally.  Off (the default), failures propagate as before.
+        normally, and a database lost after introspection degrades the run
+        (see :meth:`attach`).  Off (the default), failures propagate.
         """
         errors: "list[PipelineError] | None" = [] if quarantine else None
         if stats is None:
@@ -89,37 +124,104 @@ class ContextBuilder:
                 stats.annotation_cache_hits += cache.stats.hits - hits
                 stats.annotation_cache_misses += cache.stats.misses - misses
         with stats.stage("context"):
-            schema = self._build_schema(annotations, tables, database)
-            if database is not None:
-                if errors is None:
-                    profiles = self.profiler.profile_database(database)
-                else:
-                    try:
-                        profiles = self.profiler.profile_database(database)
-                    except Exception as error:
-                        profiles = {}
-                        errors.append(
-                            PipelineError.from_exception(
-                                "data", error, code=CODE_PROFILE_ERROR, source=source
-                            )
-                        )
-            else:
-                profiles = {}
-            return ApplicationContext(
+            builder = DDLBuilder()
+            _apply_ddl(builder, annotations, tables)
+            context = ApplicationContext(
                 queries=annotations,
-                schema=schema,
-                profiles=profiles,
-                database=database,
+                schema=builder.schema,
                 dialect=self.dialect,
                 source=source,
                 errors=list(errors or ()),
             )
+            if database is not None:
+                self.attach(context, database, degrade=quarantine)
+            return context
+
+    @contextmanager
+    def connected(self, database: Any) -> "Iterator[Any]":
+        """``database``'s connector for the length of one run (None without
+        a database).  A connector opened here, from a path or a URL, is
+        closed on exit; the caller's own connector or connection stays
+        open."""
+        if database is None:
+            yield None
+            return
+        from ..ingest.connectors import connect
+
+        connector = connect(database)
+        try:
+            yield connector
+        finally:
+            if connector is not database:
+                connector.close()
+
+    def attach(
+        self,
+        context: ApplicationContext,
+        database: Any,
+        *,
+        exclude: "Iterable[str]" = (),
+        degrade: bool = False,
+    ) -> None:
+        """Connect ``database`` to ``context`` through its connector.
+
+        The live catalog replaces the workload's DDL schema when it has
+        tables (Algorithm 1 prefers it), every table is profiled, and the
+        connector becomes ``context.database``, which serves the data rules
+        their rows.  ``exclude`` names telemetry tables (a
+        ``pg_stat_statements`` snapshot) left out of schema and profiles.
+        A database that cannot be opened or introspected fails hard; one
+        lost after introspection raises too unless ``degrade`` is set, which
+        keeps the catalog, skips data analysis and records the loss on
+        ``context.errors``.  The connector's circuit breaker is reset first,
+        so it guards one run.
+        """
+        # Imported here: the ingest package imports the toolchain, which
+        # imports this module.
+        from ..ingest.connectors import CircuitOpenError, ConnectorError, connect
+
+        connector = connect(database)
+        connector.reset_circuit()
+        live_schema = connector.schema()
+        excluded = {name.lower() for name in exclude}
+        if excluded and any(name in live_schema.tables for name in excluded):
+            # Copy-on-exclude: the connector's cached schema object must stay
+            # intact for later runs through it.
+            trimmed = Schema()
+            for table in live_schema.tables.values():
+                if table.name.lower() not in excluded:
+                    trimmed.add_table(table)
+            live_schema = trimmed
+        if live_schema.tables or not context.schema.tables:
+            context.schema = live_schema
+        try:
+            context.profiles = connector.profiles(self.profiler, exclude=excluded)
+            context.database = connector
+        except ConnectorError as error:
+            if not degrade:
+                raise
+            context.profiles = {}
+            context.errors.append(
+                PipelineError.from_exception(
+                    "ingest",
+                    error,
+                    code=(
+                        CODE_CIRCUIT_OPEN
+                        if isinstance(error, CircuitOpenError)
+                        else CODE_SOURCE_UNAVAILABLE
+                    ),
+                    source=connector.name,
+                    detail={"verdict": "skipped: source unavailable"},
+                )
+            )
 
     def refresh_data(self, context: ApplicationContext) -> ApplicationContext:
-        """Re-profile the database (the paper notes the data analyser
-        periodically refreshes the context and re-profiles on schema change)."""
+        """Re-introspect and re-profile the context's database (the paper
+        notes the data analyser periodically refreshes the context and
+        re-profiles on schema change)."""
         if context.database is not None:
-            context.profiles = self.profiler.profile_database(context.database)
+            context.database.refresh()
+            self.attach(context, context.database)
         return context
 
     def extend(
@@ -271,18 +373,6 @@ class ContextBuilder:
             annotation.statement = statement
             rebound.append((statement, annotation, table))
         return rebound
-
-    def _build_schema(
-        self,
-        annotations: "list[QueryAnnotation]",
-        tables: "list[Table | None]",
-        database: Any | None,
-    ) -> Schema:
-        if database is not None and getattr(database, "schema", None) is not None:
-            return database.schema
-        builder = DDLBuilder()
-        _apply_ddl(builder, annotations, tables)
-        return builder.schema
 
 
 def _apply_ddl(

@@ -26,7 +26,9 @@ def find_anti_patterns(
     """Detect anti-patterns in one query (or a list of queries).
 
     Returns plain :class:`Detection` records ordered by impact, which is what
-    the interactive shell prints.
+    the interactive shell prints.  ``database`` is anything
+    :func:`repro.ingest.connect` accepts (an open ``sqlite3.Connection``, a
+    path, a ``sqlite:///`` URL, a connector).
     """
     toolchain = SQLCheck(options)
     report = toolchain.check(query, database=database)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..context.application_context import ApplicationContext
+from ..context.builder import collector_paused
 from ..detector.detector import APDetector, DetectorConfig
 from ..detector.persist import _dumps
 from ..errors import CODE_FIX_ERROR, CODE_RANK_ERROR, PipelineError
@@ -275,6 +276,11 @@ class SQLCheck:
     ) -> SQLCheckReport:
         """Run the full pipeline over queries and an optional database.
 
+        ``database`` is anything :func:`repro.ingest.connect` accepts (an
+        open ``sqlite3.Connection``, a path, a ``sqlite:///`` URL, a
+        connector), attached as a scan attaches it; one opened from a path
+        or URL is closed when the run ends.
+
         Without a database, a script or a list of statement texts is first
         looked up in the replay layer (:attr:`replays`, off with
         ``enable_cache=False``).  A hit is the finished report of an
@@ -295,14 +301,15 @@ class SQLCheck:
                 key, report = self._replay(queries, source, stats)
                 if report is not None:
                     return report
-            context = self._builder.build(
-                queries,
-                database=database,
-                source=source,
-                stats=stats,
-                quarantine=self.options.detector.quarantine,
-            )
-            report = self._finish(context, stats)
+            with self._builder.connected(database) as connector, collector_paused():
+                context = self._builder.build(
+                    queries,
+                    database=connector,
+                    source=source,
+                    stats=stats,
+                    quarantine=self.options.detector.quarantine,
+                )
+                report = self._finish(context, stats)
             if (
                 key is not None
                 and not report.errors

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from ..context.application_context import ApplicationContext
-from ..context.builder import ContextBuilder
+from ..context.builder import ContextBuilder, collector_paused
 from ..errors import (
     CODE_DATA_RULE_ERROR,
     CODE_RULE_ERROR,
@@ -177,21 +177,23 @@ class APDetector:
         database: Any | None = None,
         source: str | None = None,
     ) -> DetectionReport:
-        """Run detection over queries and (optionally) a live database.
+        """Run detection over queries and (optionally) a live database —
+        anything :func:`repro.ingest.connect` accepts.
 
         The run is timed by its own :class:`PipelineStats` and folded into
         the metrics registry once, like every other entry point.
         """
         stats = PipelineStats()
-        context = self._builder.build(
-            queries,
-            database=database,
-            source=source,
-            stats=stats,
-            quarantine=self.config.quarantine,
-        )
-        with stats.stage("detect"):
-            report = self.detect_in_context(context, stats=stats)
+        with self._builder.connected(database) as connector, collector_paused():
+            context = self._builder.build(
+                queries,
+                database=connector,
+                source=source,
+                stats=stats,
+                quarantine=self.config.quarantine,
+            )
+            with stats.stage("detect"):
+                report = self.detect_in_context(context, stats=stats)
         stats.statements = report.queries_analyzed
         observe_stage_seconds(stats)
         return report

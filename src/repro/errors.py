@@ -38,8 +38,6 @@ CODE_PARSE_ERROR = "parse-error"
 CODE_RULE_ERROR = "rule-error"
 #: a data rule raised while checking a table profile
 CODE_DATA_RULE_ERROR = "data-rule-error"
-#: profiling a live table failed
-CODE_PROFILE_ERROR = "profile-error"
 #: a log line could not be interpreted in the declared format
 CODE_LOG_MALFORMED = "log-malformed"
 #: no log format could be inferred from the file name or content

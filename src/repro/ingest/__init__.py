@@ -5,8 +5,7 @@ The paper's pipeline is defined over a *live application* — its schema,
 stored data, and executed workload.  This package is that input layer:
 
 * :mod:`~repro.ingest.connectors` — introspect a live database (SQLite via
-  the stdlib driver, or the in-repo engine) into the catalog and profile
-  its rows;
+  the stdlib driver) into the catalog and profile its rows;
 * :mod:`~repro.ingest.log_readers` — parse real DBMS query logs
   (PostgreSQL csvlog/stderr, MySQL general log, SQLite trace, plain SQL)
   into a normalized :class:`WorkloadLog` of (statement, frequency,
@@ -24,7 +23,6 @@ from .connectors import (
     CircuitOpenError,
     Connector,
     ConnectorError,
-    EngineConnector,
     RetryPolicy,
     SQLiteConnector,
     connect,
@@ -55,7 +53,6 @@ __all__ = [
     "Connector",
     "ConnectorError",
     "DEFAULT_STREAM_CHUNK",
-    "EngineConnector",
     "LOG_FORMATS",
     "LiveScanner",
     "LogDetectionError",

@@ -6,18 +6,15 @@ from DDL text.  A :class:`Connector` is that bridge: it introspects a
 running database into a :class:`~repro.catalog.schema.Schema` and hands the
 data analyser real rows to profile.
 
-Two connectors ship:
-
-* :class:`SQLiteConnector` — any SQLite database file (or open stdlib
-  ``sqlite3`` connection).  The catalog is rebuilt by feeding the CREATE
-  statements SQLite itself stores in ``sqlite_master`` through the same
-  :class:`~repro.catalog.ddl_builder.DDLBuilder` the offline path uses, so
-  a live scan and an offline scan of the same DDL agree byte-for-byte;
-  tables whose stored DDL the tolerant parser cannot use fall back to
-  ``PRAGMA table_info`` introspection.
-* :class:`EngineConnector` — the in-repo :class:`~repro.engine.Database`
-  (the PostgreSQL stand-in used by the benchmarks), so everything built on
-  connectors is exercisable without external files.
+:class:`SQLiteConnector` serves any SQLite database file (or open stdlib
+``sqlite3`` connection).  The catalog is rebuilt by feeding the CREATE
+statements SQLite itself stores in ``sqlite_master`` through the same
+:class:`~repro.catalog.ddl_builder.DDLBuilder` the offline path uses, so a
+live scan and an offline scan of the same DDL agree byte-for-byte; tables
+whose stored DDL the tolerant parser cannot use fall back to ``PRAGMA
+table_info`` introspection.  Every database-backed run reaches its
+database through a connector (:meth:`ContextBuilder.attach
+<repro.context.builder.ContextBuilder.attach>`).
 
 Client/server engines (PostgreSQL, MySQL) need driver packages this
 offline environment does not ship; :func:`connect` recognises their URLs
@@ -134,11 +131,11 @@ class CircuitBreaker:
 
 
 class ConnectedTable:
-    """Lazy, read-only stand-in for an engine ``StoredTable``.
+    """One table's rows, fetched on first use.
 
-    Data rules reach the raw rows through
-    ``context.application.database.get_table(name).all_rows()``; this shim
-    serves that contract for any connector, fetching rows on first use.
+    Data rules and fix rules reach the raw rows through
+    ``context.database.get_table(name).all_rows()``; this serves that
+    contract for any connector.
     """
 
     def __init__(self, connector: "Connector", definition: Table):
@@ -172,13 +169,12 @@ class Connector:
     """Read-only view of a live database: schema introspection + row access.
 
     Subclasses implement :meth:`introspect_schema` and :meth:`table_rows`;
-    profiling, context assembly, and the engine-compatible ``get_table``
-    row access (used by the data rules) are shared.  ``dialect`` is the SQL
-    dialect hint handed to the parser for the workload that accompanies the
-    database.
+    profiling and the ``get_table`` row access the data rules use are
+    shared.  ``dialect`` is the SQL dialect hint handed to the parser for
+    the workload that accompanies the database.
     """
 
-    #: provenance label (file path, engine name) used as the scan source.
+    #: provenance label (file path) used as the scan source.
     name: str = "<database>"
     dialect: "str | None" = None
     #: the row cap of the scan in progress, set only inside
@@ -278,7 +274,7 @@ class Connector:
         raise NotImplementedError
 
     def table_row_count(self, table: str) -> int:
-        """Row count of ``table`` (pushed down where the engine can count
+        """Row count of ``table`` (pushed down where the database can count
         without materialising the rows)."""
         return len(self.table_rows(table))
 
@@ -315,7 +311,7 @@ class Connector:
             self.sample_limit, self._table_cache = saved
 
     def get_table(self, name: str) -> "ConnectedTable | None":
-        """Engine-compatible row access for the data rules.
+        """Row access for the data rules.
 
         Tables are cached per connector so the rows behind one scan are
         fetched at most once — the profiler and the data rules share them.
@@ -375,40 +371,6 @@ class Connector:
         self.close()
 
 
-class EngineConnector(Connector):
-    """Adapter over the in-repo :class:`~repro.engine.Database`."""
-
-    dialect = "postgresql"
-
-    def __init__(self, database: Any):
-        self.database = database
-        self.name = f"engine:{getattr(database, 'name', 'main')}"
-
-    def introspect_schema(self) -> Schema:
-        return self.database.schema
-
-    def table_rows(self, table: str, limit: "int | None" = None) -> "list[dict[str, Any]]":
-        stored = self.database.get_table(table)
-        if stored is None:
-            return []
-        rows = stored.all_rows()
-        if limit is None:
-            return rows
-        return [rows[i] for i in sample_positions(len(rows), limit, table)]
-
-    def table_row_count(self, table: str) -> int:
-        stored = self.database.get_table(table)
-        return stored.row_count if stored is not None else 0
-
-    def get_table(self, name: str):
-        # The engine's own stored tables already satisfy the data-rule
-        # contract; hand them through so live and offline runs share rows.
-        # A sampled scan needs the capped, cached rows instead.
-        if self.sample_limit is not None:
-            return super().get_table(name)
-        return self.database.get_table(name)
-
-
 class SQLiteConnector(Connector):
     """Connector over a SQLite database file / stdlib connection.
 
@@ -416,7 +378,9 @@ class SQLiteConnector(Connector):
     ``sqlite_master``; replaying those through :class:`DDLBuilder` yields a
     catalog identical to parsing the same DDL offline (the round-trip the
     conformance suite locks).  ``PRAGMA table_info`` fills in any table the
-    stored DDL did not produce.
+    stored DDL did not produce.  Every query runs on a cursor of its own
+    that fetches plain tuples, so a caller's connection keeps its
+    ``row_factory``.
     """
 
     dialect = "sqlite"
@@ -444,7 +408,6 @@ class SQLiteConnector(Connector):
                 ) from error
             self.name = str(path)
             self._owns_connection = True
-        self._connection.row_factory = sqlite3.Row
 
     # ------------------------------------------------------------------
     # introspection
@@ -453,12 +416,11 @@ class SQLiteConnector(Connector):
         """(type, name, sql) rows of every user table and index, in
         creation order."""
         try:
-            cursor = self._connection.execute(
+            return self._tuples(
                 "SELECT type, name, sql FROM sqlite_master "
                 "WHERE type IN ('table', 'index') AND name NOT LIKE 'sqlite_%' "
                 "ORDER BY rowid"
-            )
-            return [(row["type"], row["name"], row["sql"]) for row in cursor.fetchall()]
+            ).fetchall()
         except sqlite3.Error as error:
             # Any existing path resolves to this connector, so a non-SQLite
             # file lands here ("file is not a database") — surface it as the
@@ -482,24 +444,22 @@ class SQLiteConnector(Connector):
         table = Table(name=name)
         pk: "list[tuple[int, str]]" = []
         try:
-            info = self._connection.execute(
-                f"PRAGMA table_info({self._quote(name)})"
-            ).fetchall()
+            info = self._tuples(f"PRAGMA table_info({self._quote(name)})").fetchall()
         except sqlite3.Error as error:
             raise ConnectorError(
                 f"cannot introspect table {name!r} in {self.name}: {error}"
             ) from error
-        for row in info:
+        for _, column_name, sql_type, notnull, default, position in info:
             column = Column(
-                name=row["name"],
-                sql_type=parse_type(row["type"] or "TEXT"),
-                nullable=not row["notnull"],
-                default=row["dflt_value"],
-                is_primary_key=bool(row["pk"]),
+                name=column_name,
+                sql_type=parse_type(sql_type or "TEXT"),
+                nullable=not notnull,
+                default=default,
+                is_primary_key=bool(position),
             )
             table.add_column(column)
-            if row["pk"]:
-                pk.append((row["pk"], row["name"]))
+            if position:
+                pk.append((position, column_name))
         if pk:
             table.primary_key = tuple(name for _, name in sorted(pk))
         if table.columns:
@@ -528,16 +488,13 @@ class SQLiteConnector(Connector):
         return cursor.execute(query, parameters)
 
     def _sample_rows(self, table: str, query: str, limit: int) -> "list[dict[str, Any]]":
-        columns = {
-            entry[0].lower()
-            for entry in self._connection.execute(query + " LIMIT 0").description
-        }
+        columns = {entry[0].lower() for entry in self._tuples(query + " LIMIT 0").description}
         # A user column may shadow a rowid alias; WITHOUT ROWID tables have none.
         alias = next((a for a in ("rowid", "_rowid_", "oid") if a not in columns), None)
         try:
             rowids = None if alias is None else [
                 row[0]
-                for row in self._connection.execute(
+                for row in self._tuples(
                     f"SELECT {alias} FROM {self._quote(table)} ORDER BY {alias}"
                 )
             ]
@@ -563,12 +520,10 @@ class SQLiteConnector(Connector):
 
     def table_row_count(self, table: str) -> int:
         try:
-            cursor = self._connection.execute(
-                f"SELECT COUNT(*) AS n FROM {self._quote(table)}"
-            )
+            cursor = self._tuples(f"SELECT COUNT(*) FROM {self._quote(table)}")
         except sqlite3.Error as error:
             raise ConnectorError(f"cannot count table {table!r}: {error}") from error
-        return int(cursor.fetchone()["n"])
+        return int(cursor.fetchone()[0])
 
     @staticmethod
     def _quote(identifier: str) -> str:
@@ -594,16 +549,15 @@ _UNSUPPORTED_SCHEMES = ("postgres", "postgresql", "mysql", "mariadb", "mssql", "
 _SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3", ".db3")
 
 
-def connect(target: "str | Path | sqlite3.Connection | Any") -> Connector:
-    """Open a connector for a database URL, file path, or live object.
+def connect(target: "str | Path | sqlite3.Connection | Connector") -> Connector:
+    """Open a connector for a database URL, file path, or open connection.
 
-    Accepted targets:
+    Accepted targets — what every ``database=`` argument accepts:
 
     * ``sqlite:///relative/path.db`` / ``sqlite:////abs/path.db`` URLs,
       bare paths ending in ``.db``/``.sqlite``/``.sqlite3``/``.db3``, or an
-      open ``sqlite3.Connection``;
-    * an in-repo :class:`~repro.engine.Database` instance (or anything
-      already shaped like a :class:`Connector`);
+      open ``sqlite3.Connection`` (an in-memory database included);
+    * a :class:`Connector`, returned as is;
     * PostgreSQL / MySQL URLs raise :class:`ConnectorError` with the
       supported alternative (their query logs via ``--log``).
     """
@@ -611,9 +565,6 @@ def connect(target: "str | Path | sqlite3.Connection | Any") -> Connector:
         return target
     if isinstance(target, sqlite3.Connection):
         return SQLiteConnector(target)
-    # Duck-typed engine database: catalog schema + stored tables.
-    if hasattr(target, "schema") and hasattr(target, "tables") and hasattr(target, "get_table"):
-        return EngineConnector(target)
     if isinstance(target, Path):
         return SQLiteConnector(target)
     if not isinstance(target, str):

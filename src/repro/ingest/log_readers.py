@@ -319,10 +319,10 @@ def read_pg_stat_table(
     :class:`WorkloadLog`.
 
     ``database`` is an open :class:`~repro.ingest.connectors.Connector` or
-    anything :func:`~repro.ingest.connectors.connect` accepts (a SQLite
-    file holding an exported snapshot, an engine database, …).  Raises
-    :class:`~repro.ingest.connectors.ConnectorError` when the table cannot
-    be read.
+    anything :func:`~repro.ingest.connectors.connect` accepts (a SQLite file
+    holding an exported snapshot, an open ``sqlite3.Connection``, …).
+    Raises :class:`~repro.ingest.connectors.ConnectorError` when the table
+    cannot be read.
     """
     from .connectors import Connector, connect
 

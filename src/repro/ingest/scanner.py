@@ -24,12 +24,11 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from ..catalog.schema import Schema
 from ..context.application_context import ApplicationContext
+from ..context.builder import collector_paused
 from ..core.sqlcheck import SQLCheck, SQLCheckOptions, SQLCheckReport
-from ..errors import CODE_CIRCUIT_OPEN, CODE_SOURCE_UNAVAILABLE, PipelineError
 from ..obs import PipelineStats, get_tracer
-from .connectors import CircuitOpenError, Connector, ConnectorError, connect
+from .connectors import ConnectorError
 from .log_readers import read_workload_log
 from .workload_log import WorkloadLog, statement_key
 
@@ -115,7 +114,10 @@ class LiveScanner:
         """Run the full pipeline over a live database and/or a query log.
 
         ``database`` is anything :func:`~repro.ingest.connectors.connect`
-        accepts (sqlite URL/path/connection, engine database, connector);
+        accepts (sqlite URL/path/open connection, connector), attached
+        through :meth:`ContextBuilder.attach
+        <repro.context.builder.ContextBuilder.attach>` as in every
+        database-backed run;
         ``workload`` is a :class:`WorkloadLog`, a log-file path (parsed per
         ``log_format``, auto-detected by default), SQL text, or an iterable
         of statements.  At least one of the two must be given.
@@ -136,17 +138,20 @@ class LiveScanner:
         verdicts to "source unavailable" provenance on the report instead
         of aborting.  A database that cannot be opened or introspected at
         all is still a hard :class:`ConnectorError`: there is nothing to
-        degrade to.
+        degrade to.  The connector's circuit breaker is reset per scan, and
+        a database this scan opened from a path or URL is closed when it
+        ends.
         """
         toolchain = self.toolchain
         builder = toolchain._builder
         stats = PipelineStats()
         quarantine = toolchain.options.detector.quarantine
         with get_tracer().span("scan") as scan_span, ExitStack() as scope:
+            scope.enter_context(collector_paused())
             # Opening the sources and reading the workload log is the scan's
             # first stage, so its stages cover the whole run.
             with stats.stage("ingest"):
-                connector = connect(database) if database is not None else None
+                connector = scope.enter_context(builder.connected(database))
                 log = _coerce_workload(
                     workload, log_format, max_errors=max_errors, strict=strict
                 )
@@ -159,9 +164,6 @@ class LiveScanner:
             if scan_span is not None:
                 scan_span.attributes["source"] = label
             if connector is not None:
-                # The breaker guards one scan's fetch storm, not the
-                # connector's whole lifetime — a later scan gets a fresh chance.
-                connector.reset_circuit()
                 # The cap holds for *every* row fetch in this scan — the
                 # profiler below and any data rule pulling rows later — and
                 # for no other.
@@ -173,49 +175,17 @@ class LiveScanner:
                 context.errors.extend(log.errors)
             # Introspection, profiling and the log's workload facts are
             # context work: one more context stage holds them and the
-            # connector:* calls.
+            # connector:* calls.  The database is attached as every
+            # database-backed run attaches it; only a source lost *after*
+            # introspection degrades the scan.
             with stats.stage("context"):
                 if connector is not None:
-                    # An unusable database input fails hard here (nothing to
-                    # degrade to); only *later* source loss degrades the scan.
-                    live_schema = connector.schema()
-                    excluded = {name.lower() for name in exclude_tables}
-                    if excluded and any(name in live_schema.tables for name in excluded):
-                        # Copy-on-exclude: the connector's cached schema object
-                        # must stay intact for later scans through it.
-                        trimmed = Schema()
-                        for table in live_schema.tables.values():
-                            if table.name.lower() not in excluded:
-                                trimmed.add_table(table)
-                        live_schema = trimmed
-                    # The live catalog is authoritative when connected
-                    # (Algorithm 1 prefers it over DDL found in the workload).
-                    if live_schema.tables or not context.schema.tables:
-                        context.schema = live_schema
-                    try:
-                        context.profiles = connector.profiles(
-                            builder.profiler, exclude=excluded
-                        )
-                        context.database = connector
-                    except ConnectorError as error:
-                        if not quarantine or strict:
-                            raise
-                        # The source died between introspection and profiling:
-                        # keep the catalog, skip data analysis, record the loss.
-                        context.profiles = {}
-                        context.errors.append(
-                            PipelineError.from_exception(
-                                "ingest",
-                                error,
-                                code=(
-                                    CODE_CIRCUIT_OPEN
-                                    if isinstance(error, CircuitOpenError)
-                                    else CODE_SOURCE_UNAVAILABLE
-                                ),
-                                source=connector.name,
-                                detail={"verdict": "skipped: source unavailable"},
-                            )
-                        )
+                    builder.attach(
+                        context,
+                        connector,
+                        exclude=exclude_tables,
+                        degrade=quarantine and not strict,
+                    )
                 if log is not None:
                     assign_frequencies(context, log)
             return toolchain.check_context(context, stats=stats)

@@ -1,9 +1,10 @@
 """The data analyser: profiles tables and produces table/column statistics.
 
 Algorithm 3's outer loop ("for table t in D.tables: sample tuples, apply
-data rules") uses the profiles computed here.  The profiler accepts either
-an engine :class:`~repro.engine.Database` or plain row dictionaries, so data
-rules can be exercised in tests without standing up an engine instance.
+data rules") uses the profiles computed here.  The profiler takes plain row
+dictionaries: a live database's rows arrive through its connector
+(:meth:`~repro.ingest.connectors.Connector.profiles`), and tests can hand
+it rows directly.
 """
 from __future__ import annotations
 
@@ -72,16 +73,6 @@ class DataProfiler:
                 ]
             profile.columns[column.lower()] = profile_column(column, values, table=table_name)
         return profile
-
-    def profile_database(self, database: "Any") -> dict[str, TableProfile]:
-        """Profile every table of an engine :class:`Database` (or anything
-        exposing ``tables`` with ``all_rows()`` and ``definition``)."""
-        profiles: dict[str, TableProfile] = {}
-        for stored in database.tables.values():
-            profiles[stored.name.lower()] = self.profile_rows(
-                stored.name, stored.all_rows(), definition=stored.definition
-            )
-        return profiles
 
     # ------------------------------------------------------------------
     # helpers

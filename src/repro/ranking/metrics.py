@@ -5,9 +5,10 @@ ap-rank characterises every anti-pattern with six metrics: read performance
 data integrity (DI), and accuracy (A).  ``default_metrics`` encodes the
 values derived from the paper's empirical GlobaLeaks analysis (the speedups
 reported in §2.3 and §8.2, Figure 7b, and the qualitative marks of Table 1).
-``MetricEstimator`` re-derives the performance entries empirically by running
-AP vs. AP-free micro-experiments on the in-memory engine, which is how the
-model is "retrained as new performance data is collected over time".
+``MetricEstimator`` re-derives the performance entries empirically from
+AP vs. AP-free micro-experiments (the benchmarks count SQLite's VDBE steps),
+which is how the model is "retrained as new performance data is collected
+over time".
 """
 from __future__ import annotations
 

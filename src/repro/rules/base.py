@@ -120,8 +120,9 @@ class RuleExample:
     """A conformance scenario for one rule.
 
     ``statements`` is the SQL workload to analyse; ``rows`` optionally loads
-    data into an engine database (table name → row dicts) so data rules can
-    profile it.  A ``positive`` example must make its rule fire; a
+    data (table name → row dicts) into an in-memory SQLite database holding
+    the example's CREATE TABLE and ALTER TABLE statements, reached through
+    its connector, so data rules can profile it.  A ``positive`` example must make its rule fire; a
     ``control`` is a clean counterpart the rule must stay silent on (other
     rules may still fire — controls are per-rule, not globally clean).
     """
@@ -184,9 +185,10 @@ class RuleContext:
     the workload and schema are fixed — so workload-level facts that many
     statements re-derive (the column-usage aggregate, the column → owning
     tables map behind bare-column resolution) are computed once here.
-    They are not cached on the application context: with an engine
-    database attached, ``application.schema`` *is* the database's schema,
-    and DDL run on the engine changes it in place between runs.
+    They are not cached on the application context: its schema changes
+    between runs — ``ContextBuilder.extend`` applies new DDL to it in
+    place, and ``refresh_data`` replaces it after the live database
+    changes.
     """
 
     application: ApplicationContext

@@ -25,16 +25,21 @@ from .keywords import (
 )
 from .tokens import Token, TokenType
 
+#: The shift operators, tried before the comparisons.
+_SHIFTS = ("<<", ">>")
+
 #: Every token class as one alternation.  At each position the first
 #: alternative that matches wins, which gives the classes their priority:
 #: a terminated string before the rest-of-input fallback of an unterminated
 #: one, ``--`` comments before the ``-`` operators, placeholders before the
-#: ``%`` operator and the ``::`` cast, then the comparisons and the
-#: operators, each table in its own order (so ``<<`` lexes as two ``<``
-#: comparisons).  The last alternative takes any other single character,
-#: so the matches tile the text.  A ``$`` that may open a dollar-quoted
-#: string lexes alone here; see :func:`_with_dollar_strings`.  ``\s`` and
-#: ``\d`` are the Unicode classes ``str.isspace`` and ``str.isdecimal`` test.
+#: ``%`` operator and the ``::`` cast, then the bit shifts ``<<``/``>>``
+#: (before the comparisons, which would take their first character), the
+#: comparisons and the other operators, each table in its own order (so
+#: ``<<=`` lexes as ``<<``, ``=``).  The last alternative takes any other
+#: single character, so the matches tile the text.  A ``$`` that may open a
+#: dollar-quoted string lexes alone here; see :func:`_with_dollar_strings`.
+#: ``\s`` and ``\d`` are the Unicode classes ``str.isspace`` and
+#: ``str.isdecimal`` test.
 _TOKEN_RE = re.compile(
     r"\s+"
     r"|[A-Za-z_][A-Za-z0-9_$]*"
@@ -48,7 +53,10 @@ _TOKEN_RE = re.compile(
     r'|"(?:[^"]|"")*"|`(?:[^`]|``)*`|\[[^\]]*\]'
     r"|\?|%\(\w+\)s|%[sd]|:\w+|@\w+"
     r"|\.\d+(?:[eE][+-]?\d+)?"
-    + "".join("|" + re.escape(op) for op in COMPARISON_OPERATORS + OPERATORS)
+    + "".join(
+        "|" + re.escape(op)
+        for op in _SHIFTS + COMPARISON_OPERATORS + tuple(o for o in OPERATORS if o not in _SHIFTS)
+    )
     + r"|[\s\S]"
 )
 

@@ -52,6 +52,7 @@ from .oracles import (
     check_service_equivalence,
     check_stats_accounting,
     detection_bytes,
+    offline_scan_context,
     ranking_bytes,
 )
 from .selftest import SelftestResult, run_selftest
@@ -86,6 +87,7 @@ __all__ = [
     "example_report",
     "golden_entries",
     "load_golden",
+    "offline_scan_context",
     "run_rule_examples",
     "run_selftest",
     "write_golden",

@@ -2,8 +2,9 @@
 
 Every rule declares :meth:`~repro.rules.base.Rule.examples`; this module
 executes them exactly the way production does — full ``APDetector`` over
-the statements (and, for data examples, an engine database loaded with the
-example's rows) — and checks the planted/control contract:
+the statements (and, for data examples, an in-memory SQLite database loaded
+with the example's tables and rows, reached through its connector) — and
+checks the planted/control contract:
 
 * a *positive* example must produce at least one detection attributed to
   the rule (``Detection.rule == rule.name``);
@@ -12,12 +13,14 @@ example's rows) — and checks the planted/control contract:
 """
 from __future__ import annotations
 
+import sqlite3
 from dataclasses import dataclass
 
 from ..detector.detector import APDetector, DetectorConfig
 from ..model.detection import Detection, DetectionReport
 from ..rules.base import EXAMPLE_CONTROL, EXAMPLE_POSITIVE, Rule, RuleExample
 from ..rules.registry import RuleRegistry, default_registry
+from ..workloads.sqlite import sqlite_database
 
 
 @dataclass(frozen=True)
@@ -34,17 +37,17 @@ class ConformanceFailure:
         return f"{self.rule}[{self.example_index}] ({self.kind}): {self.reason} — {self.sql!r}"
 
 
-def _build_database(example: RuleExample):
-    """Load the example's rows into a fresh engine database."""
-    from ..engine.database import Database
-
-    database = Database()
-    for statement in example.statements:
-        if statement.lstrip().upper().startswith(("CREATE TABLE", "ALTER TABLE")):
-            database.execute(statement)
-    for table, rows in example.rows:
-        database.insert_rows(table, [dict(row) for row in rows])
-    return database
+def _build_database(example: RuleExample) -> sqlite3.Connection:
+    """The example's tables (its CREATE TABLE and ALTER TABLE statements)
+    and rows in a fresh in-memory SQLite database."""
+    return sqlite_database(
+        (
+            statement
+            for statement in example.statements
+            if statement.lstrip().upper().startswith(("CREATE TABLE", "ALTER TABLE"))
+        ),
+        example.rows,
+    )
 
 
 def example_report(

@@ -37,7 +37,7 @@ class GeneratedStatement:
 
     ``rows`` optionally carries generated data (table → row dicts, frozen
     as tuples) for *data-rule* plantings: the group must then be analysed
-    against an engine database loaded with those rows, exactly like a
+    against a database loaded with those rows, exactly like a
     :class:`~repro.rules.base.RuleExample` with data.
     """
 
@@ -125,7 +125,7 @@ class CorpusGenerator:
     ) -> GeneratedStatement:
         """One data-rule scenario: DDL plus generated rows (random when
         ``anti_pattern`` is None).  The returned group carries ``rows`` and
-        must be analysed against an engine database loaded with them."""
+        must be analysed against a database loaded with them."""
         if anti_pattern is None:
             anti_pattern, maker = self._rng.choice(self._data_makers)
         else:

@@ -20,9 +20,9 @@ Every oracle returns a list of :class:`OracleFailure` (empty = pass):
 * :func:`check_scan_equivalence` — live-source ingestion must be pure
   plumbing: ``sqlcheck scan`` over a SQLite database built from given DDL +
   rows, with a query log's frequencies, must produce detections
-  byte-identical to the offline path over the equivalent inputs (the same
-  DDL applied to the in-repo engine, the same rows, the same statements and
-  frequencies);
+  byte-identical to the offline path over the equivalent inputs (the schema
+  built from the DDL text, the profiles and data-rule rows taken from the
+  Python rows, the same statements and frequencies);
 * :func:`check_cost_model_equivalence` — the pluggable workload cost
   models must degenerate exactly where the design says they do: the
   ``duration`` and ``hybrid`` models under *uniform* durations are
@@ -49,9 +49,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from ..baselines.dbdeo import DBDEO_ANTI_PATTERNS, DBDeo
+from ..catalog.ddl_builder import DDLBuilder
+from ..context.application_context import ApplicationContext
 from ..core.sqlcheck import SQLCheck, SQLCheckOptions
 from ..detector.detector import APDetector, DetectorConfig
 from ..detector.pipeline import MODE_REPLAY
@@ -418,6 +420,70 @@ def check_cost_model_equivalence(
 # ----------------------------------------------------------------------
 # live-scan vs. offline equivalence
 # ----------------------------------------------------------------------
+class _InputTable:
+    """One table of the offline side's input rows, read as a data rule
+    reads a connector's table."""
+
+    def __init__(self, rows: "list[dict]"):
+        self._rows = rows
+
+    def all_rows(self) -> "list[dict]":
+        return self._rows
+
+
+class _InputTables:
+    """The offline side's ``context.database``: serves each table's input
+    rows to the data and fix rules, with no connector involved."""
+
+    def __init__(self, tables: "dict[str, list[dict]]"):
+        self._tables = tables
+
+    def get_table(self, name: str) -> "_InputTable | None":
+        rows = self._tables.get(name.lower())
+        return None if rows is None else _InputTable(rows)
+
+
+def offline_scan_context(
+    toolchain: SQLCheck,
+    ddl: "Sequence[str]",
+    rows: "Mapping[str, Sequence[Mapping[str, Any]]]",
+    workload,
+    *,
+    source: "str | None" = None,
+) -> ApplicationContext:
+    """The context a scan of a database holding ``ddl`` and ``rows`` should
+    build, built without a database: the schema from the DDL text through
+    :class:`~repro.catalog.ddl_builder.DDLBuilder`, each table profiled from
+    its Python rows with ``DataProfiler.profile_rows``, those rows served to
+    the data rules, and ``workload``'s (a
+    :class:`~repro.ingest.workload_log.WorkloadLog`) statements and
+    frequencies.  Rows must hold what SQLite hands back unchanged
+    (integers, strings, floats in columns of their own affinity).
+    """
+    from ..ingest import assign_frequencies
+
+    builder = toolchain._builder
+    context = builder.build(workload.statements(), source=source)
+    ddl_builder = DDLBuilder()
+    for statement in ddl:
+        ddl_builder.apply(statement)
+    given = {name.lower(): [dict(row) for row in table_rows] for name, table_rows in rows.items()}
+    tables: "dict[str, list[dict]]" = {}
+    for table in ddl_builder.schema.tables.values():
+        key = table.name.lower()
+        tables[key] = given.get(key, [])
+        context.profiles[key] = builder.profiler.profile_rows(
+            table.name, tables[key], definition=table
+        )
+    context.schema = ddl_builder.schema
+    context.database = _InputTables(tables)
+    return assign_frequencies(context, workload)
+
+
+def _profile_facts(profiles: "Mapping[str, Any]") -> dict:
+    return {name: (p.row_count, p.columns) for name, p in profiles.items()}
+
+
 def check_scan_equivalence(
     ddl: "Sequence[str]",
     rows: "dict[str, list[dict]]",
@@ -428,52 +494,51 @@ def check_scan_equivalence(
 ) -> "list[OracleFailure]":
     """Live ``sqlcheck scan`` ≡ offline DDL+rows+queries, byte for byte.
 
-    Builds a SQLite database at ``db_path`` *and* an in-repo engine
-    database from the same ``ddl`` and ``rows``, runs the live scanner
-    against the file and the offline context path against the engine — both
-    over ``workload`` (a :class:`~repro.ingest.workload_log.WorkloadLog`,
-    whose real frequencies weight the ranking on both sides) — and fails
-    unless detections and fixes serialise identically.
+    Builds a SQLite database at ``db_path`` from ``ddl`` and ``rows`` and
+    runs the live scanner against the file, then runs the same inputs
+    through :func:`offline_scan_context`, which reads the DDL text and the
+    Python rows instead of the database — both over ``workload`` (a
+    :class:`~repro.ingest.workload_log.WorkloadLog`, whose real
+    frequencies weight the ranking on both sides) — and fails unless
+    detections and fixes serialise identically, the introspected catalog
+    equals the DDL's, and the fetched rows profile as the input rows do.
     """
     import sqlite3
 
-    from ..context.builder import ContextBuilder
-    from ..engine.database import Database
-    from ..ingest import LiveScanner, SQLiteConnector, assign_frequencies
+    from ..ingest import LiveScanner, SQLiteConnector
+    from ..workloads.sqlite import insert_rows
 
     failures: list[OracleFailure] = []
     options = options or SQLCheckOptions()
     label = str(db_path)
 
-    # Live side: a real SQLite file scanned through the connector.
+    # The live side's database: a real SQLite file.
     connection = sqlite3.connect(str(db_path))
     for statement in ddl:
         connection.execute(statement)
     for table, table_rows in rows.items():
-        for row in table_rows:
-            columns = ", ".join(row)
-            holes = ", ".join("?" for _ in row)
-            connection.execute(
-                f"INSERT INTO {table} ({columns}) VALUES ({holes})",
-                tuple(row.values()),
-            )
+        insert_rows(connection, table, table_rows)
     connection.commit()
     connection.close()
+
+    # Offline side: the same inputs, read from the DDL text and the rows.
+    offline_toolchain = SQLCheck(options)
+    context = offline_scan_context(offline_toolchain, ddl, rows, workload, source=label)
+
+    # Live side: the file scanned through the connector.
     live_toolchain = SQLCheck(options)
     with SQLiteConnector(db_path) as connector:
         live = LiveScanner(live_toolchain).scan(connector, workload, source=label)
-
-    # Offline side: the same inputs through the pre-ingestion pipeline.
-    engine = Database()
-    for statement in ddl:
-        engine.execute(statement)
-    for table, table_rows in rows.items():
-        engine.insert_rows(table, [dict(row) for row in table_rows])
-    offline_toolchain = SQLCheck(options)
-    context = offline_toolchain._builder.build(
-        workload.statements(), database=engine, source=label
-    )
-    assign_frequencies(context, workload)
+        # What the scan introspected and fetched, against the inputs.
+        if connector.schema().tables != context.schema.tables:
+            failures.append(OracleFailure(
+                "scan-equivalence", label,
+                "the introspected catalog differs from the one the DDL text builds"))
+        live_profiles = connector.profiles(live_toolchain._builder.profiler)
+    if _profile_facts(live_profiles) != _profile_facts(context.profiles):
+        failures.append(OracleFailure(
+            "scan-equivalence", label,
+            "profiles of the fetched rows differ from profiles of the input rows"))
     offline = offline_toolchain.check_context(context)
 
     live_bytes = json.dumps(

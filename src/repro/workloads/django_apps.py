@@ -11,9 +11,11 @@ ORM-style SQL workload that exhibits exactly the reported anti-patterns.
 from __future__ import annotations
 
 import random
+import sqlite3
 from dataclasses import dataclass, field
 
 from ..model.antipatterns import AntiPattern
+from .sqlite import insert_rows
 
 _AP_BY_NAME = {
     "No Foreign Key": AntiPattern.NO_FOREIGN_KEY,
@@ -137,23 +139,22 @@ def build_application_workload(app: DjangoApplication, *, seed: int = 11) -> lis
     return statements
 
 
-def build_application_database(app: DjangoApplication, *, rows: int = 150, seed: int = 11):
-    """Build a populated engine database for the application.
+def build_application_database(
+    app: DjangoApplication, *, rows: int = 150, seed: int = 11
+) -> sqlite3.Connection:
+    """Build a populated in-memory SQLite database for the application.
 
     The paper deploys each Django application on PostgreSQL and lets sqlcheck
     profile the resulting data; here the DDL from the synthetic workload is
-    executed on the in-memory engine and filled with representative rows so
-    the data-analysis rules (e.g. No Domain Constraint) have something to
-    profile.
+    run in SQLite and filled with representative rows so the data-analysis
+    rules (e.g. No Domain Constraint) have something to profile.
     """
-    from ..engine.database import Database
-
     rng = random.Random(seed + hash(app.name) % 1000)
     reported = reported_anti_patterns(app)
     prefix = app.name.lower().replace("-", "_")
     main = f"{prefix}_item"
     user = f"{prefix}_user"
-    db = Database(app.name)
+    db = sqlite3.connect(":memory:")
     for statement in build_application_workload(app, seed=seed):
         if statement.upper().startswith(("CREATE", "ALTER")):
             db.execute(statement)
@@ -169,7 +170,7 @@ def build_application_database(app: DjangoApplication, *, rows: int = 150, seed:
         }
         for i in range(1, 1 + max(20, rows // 5))
     ]
-    db.insert_rows(user, user_rows)
+    insert_rows(db, user, user_rows)
     item_rows = []
     for i in range(1, rows + 1):
         row = {
@@ -187,5 +188,6 @@ def build_application_database(app: DjangoApplication, *, rows: int = 150, seed:
             row["priority"] = 1 + i % 3
             row["rating"] = 1 + i % 5
         item_rows.append(row)
-    db.insert_rows(main, item_rows)
+    insert_rows(db, main, item_rows)
+    db.commit()
     return db

@@ -2,23 +2,60 @@
 
 The paper deploys GlobaLeaks on PostgreSQL with a 10 M-row synthetic dataset
 to measure every anti-pattern's performance impact.  This module rebuilds the
-relevant slice of that schema on the in-memory engine, in two variants:
+relevant slice of that schema in in-memory SQLite databases (stdlib
+``sqlite3``), in two variants:
 
 * the **anti-pattern variant** (multi-valued ``User_IDs`` column, CHECK-IN
   enumerated ``Role``, missing foreign keys / indexes, extra indexes), and
 * the **fixed variant** (intersection ``Hosting`` table, ``Role`` reference
   table, foreign keys with supporting indexes).
 
-Row counts are scaled down (default 2 000 tenants / 5 000 users) so the
+Row counts are scaled down (default 500 tenants / 2 000 users) so the
 experiments run in seconds while preserving the asymmetry that produces the
-paper's speedups.
+paper's speedups.  The task queries use MySQL's ``REGEXP`` with its POSIX
+word boundaries ``[[:<:]]``/``[[:>:]]``; every connection built here
+registers a ``REGEXP`` function that reads them as ``\\b``.
 """
 from __future__ import annotations
 
 import random
+import re
+import sqlite3
 from dataclasses import dataclass
 
-from ..engine.database import Database
+from .sqlite import insert_rows
+
+#: MySQL's start- and end-of-word markers.
+_WORD_BOUNDARY = re.compile(r"\[\[:[<>]:\]\]")
+
+
+def _regexp(pattern: "str | None", value: "str | None") -> "bool | None":
+    """SQLite's ``value REGEXP pattern`` (NULL when either side is)."""
+    if pattern is None or value is None:
+        return None
+    return re.search(_WORD_BOUNDARY.sub(r"\\b", pattern), value) is not None
+
+
+def _connect() -> sqlite3.Connection:
+    connection = sqlite3.connect(":memory:")
+    connection.create_function("REGEXP", 2, _regexp, deterministic=True)
+    return connection
+
+
+#: The anti-pattern variant's Users columns and its enumerated-domain CHECK.
+_USERS_COLUMNS = "User_ID VARCHAR(16) PRIMARY KEY, Name VARCHAR(64), Role VARCHAR(8), Email VARCHAR(64)"
+_ROLE_CHECK = "CONSTRAINT User_Role_Check CHECK (Role IN ('R1', 'R2', 'R3'))"
+
+
+def _rebuild(table: str, columns: str) -> "list[str]":
+    """SQLite's way to change a table's constraints: build the new table,
+    copy the rows, drop the old one and take its name."""
+    return [
+        f"CREATE TABLE {table}_rebuilt ({columns})",
+        f"INSERT INTO {table}_rebuilt SELECT * FROM {table}",
+        f"DROP TABLE {table}",
+        f"ALTER TABLE {table}_rebuilt RENAME TO {table}",
+    ]
 
 
 @dataclass
@@ -32,17 +69,10 @@ class GlobaLeaksWorkload:
     # ------------------------------------------------------------------
     # database builders
     # ------------------------------------------------------------------
-    def build_ap_database(self) -> Database:
+    def build_ap_database(self) -> sqlite3.Connection:
         """The anti-pattern variant: comma-separated User_IDs, CHECK-IN Role."""
-        db = Database("globaleaks_ap")
-        db.execute(
-            "CREATE TABLE Users ("
-            " User_ID VARCHAR(16) PRIMARY KEY,"
-            " Name VARCHAR(64),"
-            " Role VARCHAR(8),"
-            " Email VARCHAR(64),"
-            " CONSTRAINT User_Role_Check CHECK (Role IN ('R1', 'R2', 'R3')))"
-        )
+        db = _connect()
+        db.execute(f"CREATE TABLE Users ({_USERS_COLUMNS}, {_ROLE_CHECK})")
         db.execute(
             "CREATE TABLE Tenants ("
             " Tenant_ID VARCHAR(16) PRIMARY KEY,"
@@ -60,11 +90,12 @@ class GlobaLeaksWorkload:
         self._load_users(db)
         self._load_tenants_with_lists(db)
         self._load_questionnaires(db)
+        db.commit()
         return db
 
-    def build_fixed_database(self) -> Database:
+    def build_fixed_database(self) -> sqlite3.Connection:
         """The AP-free variant: Hosting intersection table, Role reference table."""
-        db = Database("globaleaks_fixed")
+        db = _connect()
         db.execute(
             "CREATE TABLE Role ("
             " Role_ID INTEGER PRIMARY KEY,"
@@ -106,6 +137,7 @@ class GlobaLeaksWorkload:
         self._load_tenants_without_lists(db)
         self._load_hosting(db)
         self._load_questionnaires(db)
+        db.commit()
         return db
 
     # ------------------------------------------------------------------
@@ -115,7 +147,7 @@ class GlobaLeaksWorkload:
         """Task #1 (AP): list the tenants a user is associated with.
 
         The paper's query uses POSIX word-boundary markers so that ``U1``
-        does not match ``U11``; the engine's REGEXP operator supports them.
+        does not match ``U11``; the databases' REGEXP function supports them.
         """
         return f"SELECT * FROM Tenants WHERE User_IDs REGEXP '[[:<:]]{user_id}[[:>:]]'"
 
@@ -149,6 +181,29 @@ class GlobaLeaksWorkload:
     def task3_fixed(self, user_id: str = "U3") -> str:
         return f"DELETE FROM Hosting WHERE User_ID = '{user_id}'"
 
+    def rename_role_ap(self, old: str = "R2", new: str = "R5") -> "list[str]":
+        """Rename a permitted Role value and back in the AP variant (§8.2,
+        Figure 8g): the CHECK constraint goes, every matching row is
+        updated, and the CHECK comes back and re-validates every row.
+        SQLite 3.40 has no ``ALTER TABLE … DROP/ADD CONSTRAINT``, so each
+        change of the CHECK is a table rebuild."""
+        return (
+            _rebuild("Users", _USERS_COLUMNS)
+            + [
+                f"UPDATE Users SET Role = '{new}' WHERE Role = '{old}'",
+                f"UPDATE Users SET Role = '{old}' WHERE Role = '{new}'",
+            ]
+            + _rebuild("Users", f"{_USERS_COLUMNS}, {_ROLE_CHECK}")
+        )
+
+    def rename_role_fixed(self, old: str = "R2", new: str = "R5") -> "list[str]":
+        """The same rename and back in the AP-free variant: one row of the
+        Role reference table."""
+        return [
+            f"UPDATE Role SET Role_Name = '{new}' WHERE Role_Name = '{old}'",
+            f"UPDATE Role SET Role_Name = '{old}' WHERE Role_Name = '{new}'",
+        ]
+
     def application_queries(self) -> list[str]:
         """The DDL+DML workload handed to sqlcheck when analysing GlobaLeaks."""
         return [
@@ -178,7 +233,7 @@ class GlobaLeaksWorkload:
         start = tenant_index * self.users_per_tenant
         return [f"U{start + offset + 1}" for offset in range(self.users_per_tenant)]
 
-    def _load_users(self, db: Database, *, numeric_roles: bool = False) -> None:
+    def _load_users(self, db: sqlite3.Connection, *, numeric_roles: bool = False) -> None:
         rng = random.Random(self.seed)
         rows = []
         for index in range(self.user_count):
@@ -191,9 +246,9 @@ class GlobaLeaksWorkload:
                     "Email": f"user{index + 1}@example.org",
                 }
             )
-        db.insert_rows("Users", rows)
+        insert_rows(db, "Users", rows)
 
-    def _load_tenants_with_lists(self, db: Database) -> None:
+    def _load_tenants_with_lists(self, db: sqlite3.Connection) -> None:
         rng = random.Random(self.seed + 1)
         rows = []
         for index in range(self.tenants):
@@ -205,9 +260,9 @@ class GlobaLeaksWorkload:
                     "User_IDs": ",".join(self._user_ids_for_tenant(index)),
                 }
             )
-        db.insert_rows("Tenants", rows)
+        insert_rows(db, "Tenants", rows)
 
-    def _load_tenants_without_lists(self, db: Database) -> None:
+    def _load_tenants_without_lists(self, db: sqlite3.Connection) -> None:
         rng = random.Random(self.seed + 1)
         rows = []
         for index in range(self.tenants):
@@ -218,16 +273,16 @@ class GlobaLeaksWorkload:
                     "Active": rng.random() < 0.9,
                 }
             )
-        db.insert_rows("Tenants", rows)
+        insert_rows(db, "Tenants", rows)
 
-    def _load_hosting(self, db: Database) -> None:
+    def _load_hosting(self, db: sqlite3.Connection) -> None:
         rows = []
         for index in range(self.tenants):
             for user_id in self._user_ids_for_tenant(index):
                 rows.append({"User_ID": user_id, "Tenant_ID": f"T{index + 1}"})
-        db.insert_rows("Hosting", rows)
+        insert_rows(db, "Hosting", rows)
 
-    def _load_questionnaires(self, db: Database) -> None:
+    def _load_questionnaires(self, db: sqlite3.Connection) -> None:
         rng = random.Random(self.seed + 2)
         rows = []
         for index in range(self.tenants * 2):
@@ -239,4 +294,4 @@ class GlobaLeaksWorkload:
                     "Editable": rng.random() < 0.5,
                 }
             )
-        db.insert_rows("Questionnaire", rows)
+        insert_rows(db, "Questionnaire", rows)

@@ -3,20 +3,21 @@
 The paper applies sqlcheck's *data-analysis* rules to 31 publicly available
 SQLite databases from Kaggle.  The databases themselves are not shipped here,
 so each one is described by the anti-pattern types Table 6 reports for it,
-and ``build_kaggle_database`` synthesises an in-memory database whose schema
-and data exhibit exactly those anti-patterns.  Running the data rules over
+and ``build_kaggle_database`` synthesises an in-memory SQLite database whose
+schema and data exhibit exactly those anti-patterns.  Running the data rules over
 the synthetic databases therefore reproduces the per-database rows of
 Table 6 and the totals of Table 5.
 """
 from __future__ import annotations
 
 import random
+import sqlite3
 from dataclasses import dataclass
 
 from ..catalog.schema import Column, Table
 from ..catalog.types import parse_type
-from ..engine.database import Database
 from ..model.antipatterns import AntiPattern
+from .sqlite import insert_rows, quote
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,12 @@ KAGGLE_DATABASES: tuple[KaggleDatabaseSpec, ...] = (
 _ROWS = 240  # rows per synthetic table — enough for every data-rule threshold
 
 
-def build_kaggle_database(spec: KaggleDatabaseSpec, *, rows: int = _ROWS, seed: int = 5) -> Database:
+def build_kaggle_database(
+    spec: KaggleDatabaseSpec, *, rows: int = _ROWS, seed: int = 5
+) -> sqlite3.Connection:
     """Build a synthetic database exhibiting exactly the spec's anti-patterns."""
     rng = random.Random(seed + len(spec.name))
-    db = Database(spec.name)
+    db = sqlite3.connect(":memory:")
     table = Table(name=_table_name(spec.name))
     aps = set(spec.anti_patterns)
 
@@ -112,7 +115,7 @@ def build_kaggle_database(spec: KaggleDatabaseSpec, *, rows: int = _ROWS, seed: 
     if _AP.NO_DOMAIN_CONSTRAINT in aps:
         table.add_column(Column(name="rating", sql_type=parse_type("INTEGER")))
 
-    db.create_table(table)
+    db.execute(_create_table_sql(table))
 
     organisations = [f"The {adj} Institute" for adj in ("National", "Royal", "Federal", "Global")]
     data_rows = []
@@ -142,18 +145,34 @@ def build_kaggle_database(spec: KaggleDatabaseSpec, *, rows: int = _ROWS, seed: 
         if _AP.NO_DOMAIN_CONSTRAINT in aps:
             row["rating"] = 1 + index % 5
         data_rows.append(row)
-    db.insert_rows(table.name, data_rows)
+    insert_rows(db, table.name, data_rows)
 
     if _AP.NO_PRIMARY_KEY in aps and _AP.GENERIC_PRIMARY_KEY in aps:
         companion = Table(name=f"{table.name}_details")
         companion.add_column(Column(name="detail_code", sql_type=parse_type("INTEGER")))
         companion.add_column(Column(name="detail_text", sql_type=parse_type("VARCHAR(80)")))
-        db.create_table(companion)
-        db.insert_rows(
+        db.execute(_create_table_sql(companion))
+        insert_rows(
+            db,
             companion.name,
             [{"detail_code": i, "detail_text": f"detail {i}"} for i in range(rows // 4)],
         )
+    db.commit()
     return db
+
+
+def _create_table_sql(table: Table) -> str:
+    """The CREATE TABLE text of a catalog definition (names, types, the
+    primary key and NOT NULL: all these definitions declare)."""
+    columns = []
+    for column in table.columns.values():
+        text = f"{column.name} {column.sql_type}"
+        if column.is_primary_key:
+            text += " PRIMARY KEY"
+        if not column.nullable:
+            text += " NOT NULL"
+        columns.append(text)
+    return f"CREATE TABLE {quote(table.name)} ({', '.join(columns)})"
 
 
 def _table_name(database_name: str) -> str:

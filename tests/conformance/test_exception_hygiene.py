@@ -23,8 +23,7 @@ SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: * last-resort answer paths — a server thread or oracle that must report
 #:   a failure rather than die silently.
 ALLOWED_BROAD_CATCHES = {
-    # context builder: per-statement parse/annotate quarantine + profiling
-    ("context/builder.py", "build"),
+    # context builder: per-statement parse/annotate quarantine
     ("context/builder.py", "_annotate_queries"),
     ("context/builder.py", "parse_element"),  # closure inside _annotate_queries
     # detector: per-rule and per-data-rule quarantine

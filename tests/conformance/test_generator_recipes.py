@@ -22,9 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.detector.detector import APDetector, DetectorConfig
-from repro.engine.database import Database
 from repro.model.antipatterns import AntiPattern
 from repro.testkit import CorpusGenerator, GeneratedStatement
+from repro.workloads.sqlite import sqlite_database
 
 #: Golden: the canonical seed's NO_FOREIGN_KEY planting, locked verbatim.
 GOLDEN_SEED = 2020
@@ -95,13 +95,7 @@ DATA_RECIPES = (AntiPattern.ENUMERATED_TYPES, AntiPattern.EXTERNAL_DATA_STORAGE)
 
 def _detected_types(group: GeneratedStatement) -> "list[str]":
     """Full-detector anti-pattern types for a group (with its rows loaded)."""
-    database = None
-    if group.needs_database:
-        database = Database()
-        for statement in group.sql:
-            database.execute(statement)
-        for table, rows in group.rows:
-            database.insert_rows(table, [dict(row) for row in rows])
+    database = sqlite_database(group.sql, group.rows) if group.needs_database else None
     report = APDetector(DetectorConfig()).detect(list(group.sql), database=database)
     return sorted(ap.value for ap in report.types_detected())
 

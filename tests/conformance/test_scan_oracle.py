@@ -2,8 +2,9 @@
 
 PR 4's acceptance contract: ``sqlcheck scan`` against a SQLite file and a
 sample PostgreSQL csvlog produces detections byte-identical to the
-equivalent offline inputs (the same DDL applied to the in-repo engine, the
-same rows, the same statements), with the ranker's weights taken from the
+equivalent offline inputs (the schema built from the same DDL text, the
+profiles and data-rule rows taken from the same Python rows, the same
+statements), with the ranker's weights taken from the
 log's *real* execution frequencies — and the same workload parsed from
 every supported log dialect normalizes to the same
 :class:`~repro.ingest.workload_log.WorkloadLog`.
@@ -19,13 +20,12 @@ from repro.core.sqlcheck import SQLCheck, SQLCheckOptions
 from repro.detector.detector import DetectorConfig
 from repro.ingest import (
     WorkloadLog,
-    assign_frequencies,
     iter_log_records,
     read_workload_log,
 )
 from repro.interfaces.cli import run as cli_run
-from repro.engine.database import Database
-from repro.testkit import check_scan_equivalence
+from repro.testkit import check_scan_equivalence, offline_scan_context
+from repro.workloads.sqlite import insert_rows
 
 DDL = [
     "CREATE TABLE tenant (tenant_id INTEGER PRIMARY KEY, label VARCHAR(40) NOT NULL)",
@@ -100,19 +100,11 @@ def _write_plain_sql(path) -> None:
 
 
 def _offline_detections(workload: WorkloadLog, source: str) -> list[dict]:
-    """The equivalent offline run: engine DB + statements + frequencies."""
-    engine = Database()
-    for statement in DDL:
-        engine.execute(statement)
-    for table, rows in ROWS.items():
-        engine.insert_rows(table, [dict(r) for r in rows])
+    """The equivalent offline run: DDL text + rows + statements + frequencies."""
     toolchain = SQLCheck(
         SQLCheckOptions(detector=DetectorConfig(dialect="sqlite"))
     )
-    context = toolchain._builder.build(
-        workload.statements(), database=engine, source=source
-    )
-    assign_frequencies(context, workload)
+    context = offline_scan_context(toolchain, DDL, ROWS, workload, source=source)
     report = toolchain.check_context(context)
     return report.to_dict()["detections"]
 
@@ -124,12 +116,7 @@ def sqlite_path(tmp_path):
     for statement in DDL:
         connection.execute(statement)
     for table, rows in ROWS.items():
-        for row in rows:
-            connection.execute(
-                f"INSERT INTO {table} ({', '.join(row)}) "
-                f"VALUES ({', '.join('?' for _ in row)})",
-                tuple(row.values()),
-            )
+        insert_rows(connection, table, rows)
     connection.commit()
     connection.close()
     return path

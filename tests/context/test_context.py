@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from repro.context import ContextBuilder, build_context
-from repro.engine import Database
+from repro.workloads.sqlite import insert_rows, sqlite_database
 
 DDL = """
 CREATE TABLE Users (User_ID VARCHAR(10) PRIMARY KEY, Name VARCHAR(40), Role VARCHAR(10));
@@ -31,16 +31,16 @@ class TestContextBuilder:
         assert [q.statement.index for q in context.queries] == list(range(7))
 
     def test_schema_from_database_wins(self):
-        db = Database()
-        db.execute("CREATE TABLE FromDb (a INTEGER PRIMARY KEY)")
+        db = sqlite_database(["CREATE TABLE FromDb (a INTEGER PRIMARY KEY)"])
         context = build_context("SELECT * FROM FromDb", database=db)
         assert context.schema.has_table("FromDb")
         assert context.has_data is True or context.profiles == {}
 
     def test_profiles_built_from_database(self):
-        db = Database()
-        db.execute("CREATE TABLE T (a INTEGER PRIMARY KEY, b VARCHAR(5))")
-        db.insert_rows("T", [{"a": i, "b": "x"} for i in range(10)])
+        db = sqlite_database(
+            ["CREATE TABLE T (a INTEGER PRIMARY KEY, b VARCHAR(5))"],
+            {"T": [{"a": i, "b": "x"} for i in range(10)]},
+        )
         context = build_context((), database=db)
         assert context.profile("T").row_count == 10
         assert context.column_profile("T", "b").is_constant
@@ -53,11 +53,10 @@ class TestContextBuilder:
         assert context.query_count == 2
 
     def test_refresh_data(self):
-        db = Database()
-        db.execute("CREATE TABLE T (a INTEGER PRIMARY KEY)")
+        db = sqlite_database(["CREATE TABLE T (a INTEGER PRIMARY KEY)"])
         builder = ContextBuilder()
         context = builder.build((), database=db)
-        db.insert_rows("T", [{"a": 1}])
+        insert_rows(db, "T", [{"a": 1}])
         builder.refresh_data(context)
         assert context.profile("T").row_count == 1
 

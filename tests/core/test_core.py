@@ -8,12 +8,12 @@ import pytest
 from repro import (
     C2,
     AntiPattern,
-    Database,
     DetectorConfig,
     SQLCheck,
     SQLCheckOptions,
     find_anti_patterns,
 )
+from repro.workloads.sqlite import sqlite_database
 
 
 GLOBALEAKS_SQL = """
@@ -54,9 +54,10 @@ class TestSQLCheck:
         assert report_c2.detections
 
     def test_check_with_database(self):
-        db = Database()
-        db.execute("CREATE TABLE Tenants (Tenant_ID VARCHAR(10) PRIMARY KEY, User_IDs TEXT)")
-        db.insert_rows("Tenants", [{"Tenant_ID": f"T{i}", "User_IDs": "U1,U2"} for i in range(20)])
+        db = sqlite_database(
+            ["CREATE TABLE Tenants (Tenant_ID VARCHAR(10) PRIMARY KEY, User_IDs TEXT)"],
+            {"Tenants": [{"Tenant_ID": f"T{i}", "User_IDs": "U1,U2"} for i in range(20)]},
+        )
         report = SQLCheck().check((), database=db)
         assert AntiPattern.MULTI_VALUED_ATTRIBUTE in set(report.anti_patterns())
         assert report.tables_analyzed == 1

@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 import repro.context.builder as builder_module
-from repro import C2, AntiPattern, Database, DetectorConfig, SQLCheck, SQLCheckOptions
+from repro import C2, AntiPattern, DetectorConfig, SQLCheck, SQLCheckOptions
 from repro.fixer.fix_rules import FixRule
 from repro.fixer.repair_engine import APFixer
 from repro.obs import MetricsRegistry, get_tracer, swap_registry
@@ -24,6 +24,7 @@ from repro.rules.base import QueryRule, Rule
 from repro.rules.registry import default_registry
 from repro.sqlparser.fingerprint import MAX_CACHED_STATEMENTS
 from repro.testkit import CrashingRule
+from repro.workloads.sqlite import sqlite_database
 
 SCRIPT = """
 CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(40), tags TEXT);
@@ -177,9 +178,10 @@ def test_a_run_with_a_quarantined_error_is_never_stored():
 
 
 def test_a_database_backed_check_is_never_stored():
-    db = Database()
-    db.execute("CREATE TABLE tenants (tenant_id VARCHAR(10) PRIMARY KEY, user_ids TEXT)")
-    db.insert_rows("tenants", [{"tenant_id": f"T{i}", "user_ids": "U1,U2"} for i in range(20)])
+    db = sqlite_database(
+        ["CREATE TABLE tenants (tenant_id VARCHAR(10) PRIMARY KEY, user_ids TEXT)"],
+        {"tenants": [{"tenant_id": f"T{i}", "user_ids": "U1,U2"} for i in range(20)]},
+    )
     toolchain = SQLCheck()
     for _ in range(2):
         report = toolchain.check(["SELECT * FROM tenants"], database=db)

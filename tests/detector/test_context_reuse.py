@@ -1,11 +1,11 @@
 """Schema facts are scoped to one detection run, not to the context.
 
-A context can outlive a run while its schema changes in place: with an
-engine database attached, ``context.schema`` *is* the database's schema,
-and ``ContextBuilder.extend`` applies new DDL to the context's schema.
-The next run over the reused context must then detect exactly what a
-freshly built context does — here an unindexed ``users.email`` that only
-exists after the change, reached through bare-column resolution.
+A context can outlive a run while its schema changes: ``ALTER TABLE`` on
+the live database followed by ``ContextBuilder.refresh_data`` re-introspects
+it, and ``ContextBuilder.extend`` applies new DDL to the context's schema
+in place.  The next run over the reused context must then detect exactly
+what a freshly built context does — here an unindexed ``users.email`` that
+only exists after the change, reached through bare-column resolution.
 
 The reverse holds too: the parse cache keeps each CREATE TABLE's table,
 and DDL applied to one context's schema must not reach it, so a later
@@ -14,9 +14,9 @@ build of the same workload starts from the tables the DDL defines.
 from __future__ import annotations
 
 from repro.detector import APDetector
-from repro.engine.database import Database
 from repro.model.antipatterns import AntiPattern
 from repro.testkit import detection_bytes
+from repro.workloads.sqlite import sqlite_database
 
 DDL = [
     "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(40))",
@@ -38,10 +38,7 @@ def _underuses_email(report) -> bool:
 
 
 def test_engine_alter_then_refresh_matches_a_fresh_context():
-    database = Database()
-    for statement in DDL:
-        database.execute(statement)
-    database.insert_rows("users", [{"id": i, "name": f"n{i}"} for i in range(50)])
+    database = sqlite_database(DDL, {"users": [{"id": i, "name": f"n{i}"} for i in range(50)]})
     detector = APDetector()
     context = detector._builder.build(DDL + [QUERY], database=database)
     assert not _underuses_email(detector.detect_in_context(context))

@@ -5,10 +5,10 @@ import pytest
 
 from repro.context import build_context
 from repro.core import SQLCheck
-from repro.engine import Database
 from repro.fixer import APFixer, FixKind, QueryRepairEngine
 from repro.fixer.fix_rules import FixRule, default_fix_rules
 from repro.model import AntiPattern, Detection
+from repro.workloads.sqlite import sqlite_database
 
 
 def fixes_for(sql: str, database=None):
@@ -118,18 +118,20 @@ class TestConcreteFixes:
         assert "COALESCE(first, '')" in fix.rewritten_query
 
     def test_no_primary_key_fix_uses_unique_column_from_data(self):
-        db = Database()
-        db.execute("CREATE TABLE NoKey (code VARCHAR(10), label VARCHAR(10))")
-        db.insert_rows("NoKey", [{"code": f"C{i}", "label": "x"} for i in range(30)])
+        db = sqlite_database(
+            ["CREATE TABLE NoKey (code VARCHAR(10), label VARCHAR(10))"],
+            {"NoKey": [{"code": f"C{i}", "label": "x"} for i in range(30)]},
+        )
         fixes = fixes_for("", database=db)
         fix = fixes[AntiPattern.NO_PRIMARY_KEY]
         assert fix.kind is FixKind.REWRITE
         assert "ADD PRIMARY KEY (code)" in fix.statements[0]
 
     def test_missing_timezone_fix(self):
-        db = Database()
-        db.execute("CREATE TABLE L (l_id INTEGER PRIMARY KEY, seen_at TIMESTAMP)")
-        db.insert_rows("L", [{"l_id": i, "seen_at": "2020-01-01 10:00:00"} for i in range(10)])
+        db = sqlite_database(
+            ["CREATE TABLE L (l_id INTEGER PRIMARY KEY, seen_at TIMESTAMP)"],
+            {"L": [{"l_id": i, "seen_at": "2020-01-01 10:00:00"} for i in range(10)]},
+        )
         fix = fixes_for("", database=db)[AntiPattern.MISSING_TIMEZONE]
         assert "WITH TIME ZONE" in fix.statements[0]
 

@@ -2,11 +2,11 @@
 
 The live-source promise is that connecting to a database is *the same
 computation* as handing sqlcheck the equivalent offline inputs.  These
-tests pin the two halves: (1) introspecting an ``engine.Database`` built
-from DDL yields a catalog and data profiles identical to the offline
-``ContextBuilder`` path over that database; (2) a SQLite file created from
-the same DDL introspects to the identical catalog, because the connector
-replays ``sqlite_master``'s stored DDL through the same ``DDLBuilder``.
+tests pin the two halves: (1) a SQLite file created from DDL introspects
+to the catalog the offline ``ContextBuilder`` path builds from that DDL,
+because the connector replays ``sqlite_master``'s stored DDL through the
+same ``DDLBuilder``; (2) its rows profile exactly as the same rows handed
+to the profiler directly.
 """
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ import sqlite3
 
 import pytest
 
+from repro.catalog.ddl_builder import DDLBuilder
 from repro.context.builder import ContextBuilder
-from repro.engine.database import Database
-from repro.ingest import EngineConnector, SQLiteConnector
+from repro.ingest import SQLiteConnector
 from repro.profiler.profiler import DataProfiler
 
 DDL = [
@@ -38,16 +38,6 @@ QUERIES = [
 
 
 @pytest.fixture
-def engine_db() -> Database:
-    database = Database()
-    for statement in DDL:
-        database.execute(statement)
-    database.insert_rows("tenant", [dict(r) for r in TENANT_ROWS])
-    database.insert_rows("questionnaire", [dict(r) for r in QUESTIONNAIRE_ROWS])
-    return database
-
-
-@pytest.fixture
 def sqlite_db(tmp_path):
     path = tmp_path / "app.db"
     connection = sqlite3.connect(str(path))
@@ -66,22 +56,6 @@ def sqlite_db(tmp_path):
     return path
 
 
-def test_engine_connector_matches_offline_context(engine_db):
-    offline = ContextBuilder().build(QUERIES, database=engine_db, source="app")
-    connector = EngineConnector(engine_db)
-    live_schema = connector.schema()
-    live_profiles = connector.profiles(DataProfiler())
-
-    assert live_schema is offline.schema  # the engine's catalog is shared
-    assert sorted(live_profiles) == sorted(offline.profiles)
-    for name, live in live_profiles.items():
-        expected = offline.profiles[name]
-        assert live.row_count == expected.row_count
-        assert live.sampled_rows == expected.sampled_rows
-        assert live.definition == expected.definition
-        assert live.columns == expected.columns
-
-
 def test_sqlite_connector_matches_offline_ddl_catalog(sqlite_db):
     offline = ContextBuilder().build(DDL + QUERIES, source="app")
     with SQLiteConnector(sqlite_db) as connector:
@@ -91,14 +65,22 @@ def test_sqlite_connector_matches_offline_ddl_catalog(sqlite_db):
             assert live_table == offline.schema.tables[key]
 
 
-def test_sqlite_profiles_match_engine_profiles(sqlite_db, engine_db):
-    """Same DDL + rows → identical data profiles from either connector."""
+def test_sqlite_profiles_match_offline_profiles(sqlite_db):
+    """Same DDL + rows → the profiles the profiler gives the rows directly."""
     profiler = DataProfiler()
     with SQLiteConnector(sqlite_db) as sqlite_connector:
         sqlite_profiles = sqlite_connector.profiles(profiler)
-    engine_profiles = EngineConnector(engine_db).profiles(profiler)
-    assert sorted(sqlite_profiles) == sorted(engine_profiles)
+    builder = DDLBuilder()
+    for statement in DDL:
+        builder.apply(statement)
+    rows = {"tenant": TENANT_ROWS, "questionnaire": QUESTIONNAIRE_ROWS}
+    offline_profiles = {
+        name: profiler.profile_rows(table.name, rows[name], definition=table)
+        for name, table in builder.schema.tables.items()
+    }
+    assert sorted(sqlite_profiles) == sorted(offline_profiles)
     for name, live in sqlite_profiles.items():
-        expected = engine_profiles[name]
+        expected = offline_profiles[name]
         assert live.row_count == expected.row_count
+        assert live.definition == expected.definition
         assert live.columns == expected.columns

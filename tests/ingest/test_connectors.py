@@ -1,14 +1,12 @@
-"""Connector tests: URL resolution, SQLite/engine introspection, row access."""
+"""Connector tests: URL resolution, SQLite introspection, row access."""
 from __future__ import annotations
 
 import sqlite3
 
 import pytest
 
-from repro.engine.database import Database
 from repro.ingest import (
     ConnectorError,
-    EngineConnector,
     SQLiteConnector,
     connect,
 )
@@ -52,14 +50,6 @@ class TestConnect:
         assert isinstance(connector, SQLiteConnector)
         assert connector.schema().has_table("questionnaire")
         connection.close()
-
-    def test_engine_database(self):
-        database = Database()
-        for statement in DDL:
-            database.execute(statement)
-        connector = connect(database)
-        assert isinstance(connector, EngineConnector)
-        assert connector.schema() is database.schema
 
     def test_server_engines_point_at_log_ingestion(self):
         for url in (
@@ -203,14 +193,6 @@ class TestSamplingPushDown:
             profiles = connector.profiles(exclude=("Tenant",))
             assert "tenant" not in profiles
             assert "questionnaire" in profiles
-
-    def test_engine_connector_limit_truncates(self):
-        database = Database()
-        database.execute(DDL[0])
-        database.insert_rows("tenant", [dict(row) for row in TENANT_ROWS])
-        connector = EngineConnector(database)
-        assert len(connector.table_rows("tenant", limit=4)) == 4
-        assert connector.table_row_count("tenant") == len(TENANT_ROWS)
 
     def test_scan_with_sample_limit_matches_schema_findings(self, sqlite_path):
         """Sampling changes profiling inputs, never the schema analysis: a

@@ -4,7 +4,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.sqlcheck import SQLCheck
-from repro.engine.database import Database
 from repro.ingest import (
     ConnectorError,
     LiveScanner,
@@ -15,6 +14,7 @@ from repro.ingest import (
 )
 from repro.model.antipatterns import AntiPattern
 from repro.ranking.ranker import APRanker
+from repro.workloads.sqlite import sqlite_database
 
 DDL = [
     "CREATE TABLE tenant (tenant_id INTEGER PRIMARY KEY, label VARCHAR(40) NOT NULL)",
@@ -29,16 +29,16 @@ JOIN_NO_FK = (
 PATTERN = "SELECT name FROM questionnaire WHERE name LIKE '%x'"
 
 
-def _engine() -> Database:
-    database = Database()
-    for statement in DDL:
-        database.execute(statement)
-    database.insert_rows("tenant", [{"tenant_id": i, "label": f"t{i}"} for i in range(20)])
-    database.insert_rows(
-        "questionnaire",
-        [{"q_id": i, "tenant_id": i % 20, "name": f"q{i}"} for i in range(40)],
+def _database():
+    return sqlite_database(
+        DDL,
+        {
+            "tenant": [{"tenant_id": i, "label": f"t{i}"} for i in range(20)],
+            "questionnaire": [
+                {"q_id": i, "tenant_id": i % 20, "name": f"q{i}"} for i in range(40)
+            ],
+        },
     )
-    return database
 
 
 class TestFrequencyWeighting:
@@ -49,7 +49,7 @@ class TestFrequencyWeighting:
         assert APRanker.frequency_weight(1024) == pytest.approx(11.0)
 
     def test_hot_statement_outranks_with_real_frequencies(self):
-        database = _engine()
+        database = _database()
         flat = scan(database, [HOT_WILDCARD, JOIN_NO_FK, PATTERN], source="app")
         hot = scan(
             database,
@@ -96,12 +96,9 @@ class TestScan:
             scan()
 
     def test_database_only_scan_runs_data_rules(self):
-        database = Database()
-        database.execute(
-            "CREATE TABLE readings (amount FLOAT, note VARCHAR(10))"
-        )
-        database.insert_rows(
-            "readings", [{"amount": i / 10, "note": f"n{i}"} for i in range(30)]
+        database = sqlite_database(
+            ["CREATE TABLE readings (amount FLOAT, note VARCHAR(10))"],
+            {"readings": [{"amount": i / 10, "note": f"n{i}"} for i in range(30)]},
         )
         report = scan(database)
         assert report.queries_analyzed == 0
@@ -114,15 +111,15 @@ class TestScan:
         assert {e.anti_pattern for e in report} == {AntiPattern.COLUMN_WILDCARD}
 
     def test_stats_accounting_holds(self):
-        report = scan(_engine(), [HOT_WILDCARD, PATTERN], source="app")
+        report = scan(_database(), [HOT_WILDCARD, PATTERN], source="app")
         stats = report.stats
         assert stats is not None
         assert stats.total_seconds >= stats.stage_seconds_sum() * 0.9
 
     def test_scanner_reuse_keeps_results_identical(self):
         scanner = LiveScanner()
-        first = scanner.scan(_engine(), [HOT_WILDCARD, JOIN_NO_FK], source="app")
-        second = scanner.scan(_engine(), [HOT_WILDCARD, JOIN_NO_FK], source="app")
+        first = scanner.scan(_database(), [HOT_WILDCARD, JOIN_NO_FK], source="app")
+        second = scanner.scan(_database(), [HOT_WILDCARD, JOIN_NO_FK], source="app")
         assert [d.detection.to_dict() for d in first] == [
             d.detection.to_dict() for d in second
         ]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.catalog import Column, Table, parse_type
 from repro.catalog.types import TypeFamily
+from repro.ingest import SQLiteConnector
 from repro.profiler import DataProfiler, Sampler
 from repro.profiler.column_profile import profile_column
 from repro.profiler.inference import (
@@ -14,6 +15,7 @@ from repro.profiler.inference import (
     looks_like_file_path,
     looks_like_plaintext_password_column,
 )
+from repro.workloads.sqlite import sqlite_database
 
 
 class TestSampler:
@@ -159,12 +161,11 @@ class TestDataProfiler:
         assert set(profile.column_names()) == {"a", "b", "c"}
 
     def test_profile_database(self):
-        from repro.engine import Database
-
-        db = Database()
-        db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(10))")
-        db.insert_rows("t", [{"a": i, "b": "x"} for i in range(15)])
-        profiles = DataProfiler().profile_database(db)
+        db = sqlite_database(
+            ["CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(10))"],
+            {"t": [{"a": i, "b": "x"} for i in range(15)]},
+        )
+        profiles = SQLiteConnector(db).profiles(DataProfiler())
         assert "t" in profiles
         assert profiles["t"].row_count == 15
         assert profiles["t"].definition is not None

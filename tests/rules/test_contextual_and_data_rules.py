@@ -4,9 +4,9 @@ from __future__ import annotations
 import pytest
 
 from repro.detector import APDetector, DetectorConfig
-from repro.engine import Database
 from repro.model import AntiPattern
 from repro.rules import Thresholds, default_registry
+from repro.workloads.sqlite import sqlite_database
 
 
 def detect(sql="", database=None, **config):
@@ -57,9 +57,10 @@ class TestIndexRulesInterQuery:
     def test_index_underuse_suppressed_by_low_cardinality_data(self):
         """The Figure 8c false positive: data analysis drops the missing-index
         report when the filtered column has too few distinct values."""
-        db = Database()
-        db.execute("CREATE TABLE T (t_id INTEGER PRIMARY KEY, flag VARCHAR(3))")
-        db.insert_rows("T", [{"t_id": i, "flag": "on" if i % 2 else "off"} for i in range(100)])
+        db = sqlite_database(
+            ["CREATE TABLE T (t_id INTEGER PRIMARY KEY, flag VARCHAR(3))"],
+            {"T": [{"t_id": i, "flag": "on" if i % 2 else "off"} for i in range(100)]},
+        )
         query = "SELECT * FROM T WHERE flag = 'on'"
         with_data = detect_types(query, database=db)
         without_data = detect_types(query, database=db, enable_data=False)
@@ -90,11 +91,9 @@ class TestIndexRulesInterQuery:
 
 class TestMultiValuedAttributeData:
     def test_data_rule_confirms(self):
-        db = Database()
-        db.execute("CREATE TABLE Tenants (Tenant_ID VARCHAR(8) PRIMARY KEY, User_IDs TEXT)")
-        db.insert_rows(
-            "Tenants",
-            [{"Tenant_ID": f"T{i}", "User_IDs": f"U{i},U{i+1},U{i+2}"} for i in range(20)],
+        db = sqlite_database(
+            ["CREATE TABLE Tenants (Tenant_ID VARCHAR(8) PRIMARY KEY, User_IDs TEXT)"],
+            {"Tenants": [{"Tenant_ID": f"T{i}", "User_IDs": f"U{i},U{i+1},U{i+2}"} for i in range(20)]},
         )
         report = detect(database=db)
         mva = report.filter(AntiPattern.MULTI_VALUED_ATTRIBUTE)
@@ -104,11 +103,9 @@ class TestMultiValuedAttributeData:
     def test_data_refutes_query_level_suspicion(self):
         """A LIKE '%…%' query against a column whose data is NOT a list is a
         false positive that data analysis removes (§4.1 limitation)."""
-        db = Database()
-        db.execute("CREATE TABLE Places (place_id INTEGER PRIMARY KEY, address VARCHAR(100))")
-        db.insert_rows(
-            "Places",
-            [{"place_id": i, "address": f"{i} Main Street, Springfield"} for i in range(20)],
+        db = sqlite_database(
+            ["CREATE TABLE Places (place_id INTEGER PRIMARY KEY, address VARCHAR(100))"],
+            {"Places": [{"place_id": i, "address": f"{i} Main Street, Springfield"} for i in range(20)]},
         )
         query = "SELECT * FROM Places WHERE address LIKE '%U1%'"
         with_data = detect(query, database=db).filter(AntiPattern.MULTI_VALUED_ATTRIBUTE)
@@ -119,9 +116,8 @@ class TestMultiValuedAttributeData:
 
 
 class TestDataRules:
-    def build_db(self) -> Database:
-        db = Database()
-        db.execute(
+    def build_db(self):
+        ddl = (
             "CREATE TABLE readings ("
             " reading_key INTEGER PRIMARY KEY,"
             " recorded_at TIMESTAMP,"
@@ -148,8 +144,7 @@ class TestDataRules:
                     "age": 2020 - year,
                 }
             )
-        db.insert_rows("readings", rows)
-        return db
+        return sqlite_database([ddl], {"readings": rows})
 
     def test_missing_timezone(self):
         report = detect(database=self.build_db())
@@ -182,9 +177,10 @@ class TestDataRules:
         assert any(d.column == "rating" for d in hits)
 
     def test_enumerated_types_data_rule(self):
-        db = Database()
-        db.execute("CREATE TABLE U (u_id INTEGER PRIMARY KEY, role VARCHAR(4))")
-        db.insert_rows("U", [{"u_id": i, "role": f"R{1 + i % 3}"} for i in range(200)])
+        db = sqlite_database(
+            ["CREATE TABLE U (u_id INTEGER PRIMARY KEY, role VARCHAR(4))"],
+            {"U": [{"u_id": i, "role": f"R{1 + i % 3}"} for i in range(200)]},
+        )
         report = detect(database=db)
         hits = report.filter(AntiPattern.ENUMERATED_TYPES)
         assert any(d.column == "role" for d in hits)
@@ -226,8 +222,8 @@ class TestDetectorConfig:
         assert {r.name for r in select_rules} != {r.name for r in create_rules}
 
     def test_report_counts_tables_analyzed(self):
-        db = Database()
-        db.execute("CREATE TABLE A (x INTEGER PRIMARY KEY)")
-        db.execute("CREATE TABLE B (y INTEGER PRIMARY KEY)")
+        db = sqlite_database(
+            ["CREATE TABLE A (x INTEGER PRIMARY KEY)", "CREATE TABLE B (y INTEGER PRIMARY KEY)"]
+        )
         report = detect(database=db)
         assert report.tables_analyzed == 2

@@ -4,9 +4,12 @@ The reference below is the earlier lexer (a per-class regex cascade behind
 a common-token fast path, then a fold over every token), statement
 splitter, ``classify_statement`` and ``parse``, kept verbatim apart from
 two names: the lexer class is ``ReferenceLexer`` and ``parse`` is
-``reference_parse``.  Token streams are compared as (type, value,
-position), and parsed statements field for field, on fuzzed SQL pieces
-(every operator, placeholder and quote form; terminated and unterminated
+``reference_parse``.  One change to the lexer is intended — ``<<`` and
+``>>`` now lex as one operator where the earlier lexer gave two
+comparisons — and ``tokenize`` normalises the reference stream for it.
+Token streams are compared as (type, value, position), and parsed
+statements field for field, on fuzzed SQL pieces (every operator,
+placeholder and quote form; terminated and unterminated
 dollar-quoted strings, strings, block comments and quoted names; non-ASCII
 letters and digits), on the golden corpus, on generated scripts and on long
 hostile statements.  ``ReferenceAnnotator`` keeps the earlier bodies of the
@@ -269,7 +272,33 @@ class ReferenceLexer:
         return None
 
 
-tokenize = ReferenceLexer().tokenize
+_REFERENCE_LEXER = ReferenceLexer()
+
+
+def tokenize(sql: str) -> list[Token]:
+    """The earlier lexer's tokens, normalised for the one intended change:
+    ``<<`` and ``>>`` lex as one operator.  Where the earlier lexer gave a
+    ``<``/``>`` comparison and, at the next offset, a token starting with
+    the same character, the two become that operator and the text after it
+    is lexed again."""
+    tokens: list[Token] = []
+    start = 0
+    while True:
+        pending = _REFERENCE_LEXER.tokenize(sql[start:])
+        for token, following in zip(pending, pending[1:] + [None]):
+            if (
+                following is not None
+                and token.ttype is TokenType.COMPARISON
+                and token.value in ("<", ">")
+                and following.position == token.position + 1
+                and following.value.startswith(token.value)
+            ):
+                tokens.append(Token(TokenType.OPERATOR, token.value * 2, start + token.position))
+                start += token.position + 2
+                break
+            tokens.append(Token(token.ttype, token.value, start + token.position))
+        else:
+            return tokens
 
 
 def split_tokens(tokens: list[Token]) -> list[list[Token]]:

@@ -63,6 +63,25 @@ class TestBasicTokens:
         tokens = [t for t in tokenize("a || b") if t.ttype is TokenType.OPERATOR]
         assert tokens[0].value == "||"
 
+    def test_shift_operators_lex_whole(self):
+        for op in ("<<", ">>"):
+            assert values_of(f"a {op} 2") == ["a", op, "2"]
+            assert types_of(f"a {op} 2") == [TokenType.NAME, TokenType.OPERATOR, TokenType.NUMBER]
+
+    def test_shift_then_comparison(self):
+        assert values_of("a <<= b") == ["a", "<<", "=", "b"]
+        assert types_of("a <<= b")[1:3] == [TokenType.OPERATOR, TokenType.COMPARISON]
+
+    def test_spaced_comparisons_stay_apart(self):
+        assert values_of("a < < b") == ["a", "<", "<", "b"]
+        assert types_of("a < < b")[1:3] == [TokenType.COMPARISON, TokenType.COMPARISON]
+
+    def test_shift_is_no_comparison_predicate(self):
+        from repro.sqlparser import annotate, parse
+
+        annotation = annotate(parse("SELECT * FROM t WHERE flags << 2 = 8")[0])
+        assert not [p for p in annotation.predicates if p.operator == "<"]
+
     def test_placeholders(self):
         sql = "SELECT * FROM t WHERE a = ? AND b = %s AND c = :name AND d = $1"
         placeholders = [t.value for t in tokenize(sql) if t.ttype is TokenType.PLACEHOLDER]

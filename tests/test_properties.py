@@ -1,9 +1,9 @@
 """Property-based tests (hypothesis) for core invariants.
 
 These cover the substrate layers whose correctness everything else depends
-on: the lexer's losslessness, the statement splitter, SQL value semantics,
-the expression evaluator, the profiler, the engine's storage invariants, and
-the ranking model's monotonicity.
+on: the lexer's losslessness, the statement splitter, the profiler, the
+rows and profiles the data backend (stdlib ``sqlite3``) serves through the
+connector path, and the ranking model's monotonicity.
 """
 from __future__ import annotations
 
@@ -13,14 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.catalog import parse_type
-from repro.engine import Database, values as V
-from repro.engine.expressions import evaluate
+from repro.ingest import SQLiteConnector
 from repro.model import AntiPattern, Detection
 from repro.profiler.column_profile import profile_column
 from repro.ranking import APMetrics, APRanker, C1
 from repro.ranking.config import normalise_amplification, normalise_performance
 from repro.sqlparser import parse, split, tokenize
+from repro.workloads.sqlite import sqlite_database
 
 # ----------------------------------------------------------------------
 # strategies
@@ -65,59 +64,6 @@ class TestLexerProperties:
         assert len(split(sql)) == 2
 
 
-class TestValueProperties:
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-    def test_compare_is_antisymmetric(self, a, b):
-        assert V.compare(a, b) == -(V.compare(b, a) or 0) if a != b else V.compare(a, b) == 0
-
-    @given(st.text(max_size=30))
-    def test_equals_is_reflexive_for_non_null(self, value):
-        assert V.equals(value, value) is True
-
-    @given(st.text(max_size=20), st.text(max_size=20))
-    def test_concat_matches_python_concatenation(self, a, b):
-        assert V.concat(a, b) == a + b
-
-    @given(st.text(alphabet=string.ascii_letters + string.digits, max_size=20))
-    def test_like_full_wildcard_matches_everything(self, value):
-        assert V.like_match(value, "%") is True
-
-    @given(st.text(alphabet=string.ascii_letters, min_size=1, max_size=20))
-    def test_like_exact_match(self, value):
-        assert V.like_match(value, value) is True
-
-    @given(st.text(alphabet=string.ascii_letters, min_size=1, max_size=30))
-    def test_varchar_coercion_respects_length(self, value):
-        stored = V.coerce(value, parse_type("VARCHAR(10)"))
-        assert len(stored) <= 10
-        assert value.startswith(stored)
-
-
-class TestExpressionProperties:
-    @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
-    def test_arithmetic_matches_python(self, a, b):
-        assert evaluate(f"{a} + {b}", {}) == a + b
-        assert evaluate(f"{a} - {b}", {}) == a - b
-        assert evaluate(f"{a} * {b}", {}) == a * b
-
-    @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
-    def test_comparison_matches_python(self, a, b):
-        assert evaluate(f"{a} > {b}", {}) == (a > b)
-        assert evaluate(f"{a} = {b}", {}) == (a == b)
-
-    @given(st.integers(-100, 100), st.integers(-100, 100), st.integers(-100, 100))
-    def test_between_equivalence(self, value, low, high):
-        row = {"v": value}
-        expected = low <= value <= high
-        assert bool(evaluate(f"v BETWEEN {low} AND {high}", row)) == expected
-
-    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8), st.integers(-50, 50))
-    def test_in_list_equivalence(self, options, value):
-        row = {"v": value}
-        expression = "v IN (" + ", ".join(str(o) for o in options) + ")"
-        assert bool(evaluate(expression, row)) == (value in options)
-
-
 class TestProfilerProperties:
     @given(st.lists(st.one_of(st.none(), st.integers(-1000, 1000)), min_size=1, max_size=200))
     def test_profile_counts_are_consistent(self, values):
@@ -138,38 +84,48 @@ class TestProfilerProperties:
 
 
 class TestEngineProperties:
+    """The data backend as a run reads it: rows go in with ``sqlite_database``
+    and come back through :class:`SQLiteConnector`."""
+
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(st.tuples(st.integers(0, 10**6), st.text(alphabet=string.ascii_letters, max_size=10)),
                     min_size=1, max_size=40, unique_by=lambda t: t[0]))
     def test_insert_then_count_and_lookup(self, rows):
-        db = Database()
-        db.execute("CREATE TABLE T (k INTEGER PRIMARY KEY, v VARCHAR(20))")
-        db.insert_rows("T", [{"k": k, "v": v} for k, v in rows])
-        assert db.execute("SELECT COUNT(*) FROM T").scalar() == len(rows)
+        db = sqlite_database(
+            ["CREATE TABLE T (k INTEGER PRIMARY KEY, v VARCHAR(20))"],
+            {"T": [{"k": k, "v": v} for k, v in rows]},
+        )
+        connector = SQLiteConnector(db)
+        assert connector.fetch_row_count("T") == len(rows)
         key, value = rows[0]
-        result = db.execute(f"SELECT v FROM T WHERE k = {key}")
-        assert result.rowcount == 1
-        assert result.rows[0]["v"] == value[:20]
+        matches = [row for row in connector.get_table("T").all_rows() if row["k"] == key]
+        assert len(matches) == 1
+        assert matches[0]["v"] == value[:20]
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=50))
     def test_sum_matches_python(self, numbers):
-        db = Database()
-        db.execute("CREATE TABLE N (pos INTEGER PRIMARY KEY, n INTEGER)")
-        db.insert_rows("N", [{"pos": i, "n": n} for i, n in enumerate(numbers)])
-        assert db.execute("SELECT SUM(n) FROM N").scalar() == pytest.approx(sum(numbers))
+        db = sqlite_database(
+            ["CREATE TABLE N (pos INTEGER PRIMARY KEY, n INTEGER)"],
+            {"N": [{"pos": i, "n": n} for i, n in enumerate(numbers)]},
+        )
+        profile = SQLiteConnector(db).profiles()["n"]
+        assert profile.row_count == len(numbers)
+        column = profile.column("n")
+        assert column.mean * column.non_null_count == pytest.approx(sum(numbers))
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 10**4), min_size=2, max_size=40, unique=True))
     def test_index_and_scan_agree(self, keys):
-        db = Database()
-        db.execute("CREATE TABLE T (k INTEGER PRIMARY KEY, grp INTEGER)")
-        db.insert_rows("T", [{"k": k, "grp": k % 5} for k in keys])
-        db.execute("CREATE INDEX idx_grp ON T (grp)")
-        query = "SELECT k FROM T WHERE grp = 3"
-        indexed = {r["k"] for r in db.execute(query, force_index=True).rows}
-        scanned = {r["k"] for r in db.execute(query, force_index=False).rows}
-        assert indexed == scanned
+        db = sqlite_database(
+            ["CREATE TABLE T (k INTEGER PRIMARY KEY, grp INTEGER)",
+             "CREATE INDEX idx_grp ON T (grp)"],
+            {"T": [{"k": k, "grp": k % 5} for k in keys]},
+        )
+        indexed = {k for (k,) in db.execute("SELECT k FROM T INDEXED BY idx_grp WHERE grp = 3")}
+        scanned = {k for (k,) in db.execute("SELECT k FROM T NOT INDEXED WHERE grp = 3")}
+        fetched = {row["k"] for row in SQLiteConnector(db).fetch_rows("T") if row["grp"] == 3}
+        assert indexed == scanned == fetched
 
 
 class TestRankingProperties:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from repro.detector import APDetector
+from repro.ingest import connect
 from repro.model import AntiPattern
 from repro.workloads import (
     DJANGO_APPLICATIONS,
@@ -17,6 +18,16 @@ from repro.workloads import (
 from repro.workloads.django_apps import reported_anti_patterns
 
 
+def _count(db, table: str) -> int:
+    return db.execute(f'SELECT COUNT(*) FROM "{table}"').fetchone()[0]
+
+
+def _values(cursor, column: str) -> set:
+    """``column``'s values in a result (its first column of that name)."""
+    position = [entry[0] for entry in cursor.description].index(column)
+    return {row[position] for row in cursor}
+
+
 class TestGlobaLeaksWorkload:
     @pytest.fixture(scope="class")
     def workload(self):
@@ -24,26 +35,25 @@ class TestGlobaLeaksWorkload:
 
     def test_ap_database_contents(self, workload):
         db = workload.build_ap_database()
-        assert db.get_table("tenants").row_count == 50
-        assert db.get_table("users").row_count == 200
-        sample = next(iter(db.get_table("tenants").rows.values()))
-        assert "," in sample["User_IDs"]
+        assert _count(db, "Tenants") == 50
+        assert _count(db, "Users") == 200
+        assert "," in db.execute("SELECT User_IDs FROM Tenants").fetchone()[0]
 
     def test_fixed_database_contents(self, workload):
         db = workload.build_fixed_database()
-        assert db.get_table("hosting").row_count == 200
-        assert db.get_table("role").row_count == 3
-        assert db.get_table("hosting").index_on("User_ID") is not None
+        assert _count(db, "Hosting") == 200
+        assert _count(db, "Role") == 3
+        assert connect(db).schema().get_table("hosting").column_is_indexed("User_ID")
 
     def test_task_results_are_equivalent(self, workload):
         """The AP and AP-free designs must answer the tasks identically."""
         ap = workload.build_ap_database()
         fixed = workload.build_fixed_database()
-        ap_tenants = {r["Tenant_ID"] for r in ap.execute(workload.task1_ap("U7")).rows}
-        fixed_tenants = {r["Tenant_ID"] for r in fixed.execute(workload.task1_fixed("U7")).rows}
+        ap_tenants = _values(ap.execute(workload.task1_ap("U7")), "Tenant_ID")
+        fixed_tenants = _values(fixed.execute(workload.task1_fixed("U7")), "Tenant_ID")
         assert ap_tenants == fixed_tenants and ap_tenants
-        ap_users = {r["User_ID"] for r in ap.execute(workload.task2_ap("T3")).rows}
-        fixed_users = {r["User_ID"] for r in fixed.execute(workload.task2_fixed("T3")).rows}
+        ap_users = _values(ap.execute(workload.task2_ap("T3")), "User_ID")
+        fixed_users = _values(fixed.execute(workload.task2_fixed("T3")), "User_ID")
         assert ap_users == fixed_users and len(ap_users) == 4
 
     def test_application_queries_contain_known_aps(self, workload):
@@ -117,8 +127,8 @@ class TestKaggleDatabases:
     def test_build_database_contains_expected_columns(self):
         spec = KAGGLE_DATABASES[0]
         db = build_kaggle_database(spec, rows=60)
-        table = db.get_table(db.table_names()[0])
-        assert table.row_count == 60
+        table = db.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchone()[0]
+        assert _count(db, table) == 60
 
     def test_detected_types_cover_spec(self):
         detector = APDetector()
