@@ -310,6 +310,9 @@ class SQLCheck:
                     quarantine=self.options.detector.quarantine,
                 )
                 report = self._finish(context, stats)
+                # Free the run's tokens, parse trees and annotations while
+                # the collector is still off, so it never walks them.
+                del context
             if (
                 key is not None
                 and not report.errors

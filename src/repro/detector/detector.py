@@ -72,7 +72,9 @@ class DetectorConfig:
             rule or parser exception propagates (fail-fast).
         persistent_memo_path: path of a SQLite file mirroring the warm
             state (annotation templates, detection memo, whole-corpus
-            replays) across process restarts.
+            replays) across process restarts.  With inter-query analysis
+            on, a run's memo entries are stored as one row for the whole
+            run; intra-only, as one row per statement.
             Keys embed the registry content digest, thresholds, and
             analysis flags, so rule or configuration changes invalidate
             cleanly back to the cold path; a corrupt or stale file is
@@ -91,6 +93,38 @@ class DetectorConfig:
     cache_size: int = 4096
     quarantine: bool = True
     persistent_memo_path: "str | None" = None
+
+
+class _RunRow:
+    """One workload-bound detection pass's row in the persistent store.
+
+    An inter-query memo scope digests every statement text of the run, so
+    only a run of the identical workload can reuse its results, and the
+    store keeps them whole: one ``memo`` row mapping each statement text
+    to its pristine templates.  The pass reads the row once, on its first
+    memory miss, and keeps it for its other misses (:meth:`get` is the
+    memo's store tier for the pass).  It collects the templates of every
+    memoized statement, memory hits included, and :meth:`write` buffers
+    them as the new row when the pass analysed at least one statement.
+    """
+
+    __slots__ = ("store", "scope", "stored", "templates", "analysed")
+
+    def __init__(self, store, scope: str):
+        self.store = store
+        self.scope = scope
+        self.stored: "dict | None" = None
+        self.templates: "dict[str, list[Detection]]" = {}
+        self.analysed = False
+
+    def get(self, layer: str, key: "tuple[str, str]") -> "list[Detection] | None":
+        if self.stored is None:
+            self.stored = self.store.get_run(self.scope) or {}
+        return self.stored.get(key[1])
+
+    def write(self) -> None:
+        if self.analysed:
+            self.store.put_run(self.scope, self.templates)
 
 
 def thresholds_key(thresholds: Thresholds) -> bytes:
@@ -120,8 +154,12 @@ class APDetector:
     (``(memo scope, text)`` keys, see :meth:`_memo_scope`) replays rule
     results with statement index/offset/source rebound to each occurrence.
     With ``persistent_memo_path`` set, both read and write through to the
-    same :class:`~repro.detector.persist.PersistentMemo`.  Observability:
-    :attr:`memo_info`, ``annotation_cache.stats``, :meth:`clear_caches`.
+    same :class:`~repro.detector.persist.PersistentMemo`: the parse cache
+    and an intra-only memo one row per statement, a workload-bound memo
+    (inter-query analysis on) one row per run, which the run reads on its
+    first memory miss and writes once at the end of a pass that analysed a
+    statement.  Observability: :attr:`memo_info`, ``annotation_cache.stats``,
+    :meth:`clear_caches`.
     """
 
     def __init__(
@@ -150,7 +188,14 @@ class APDetector:
         )
         # Detection templates by statement text under the memo scope; unused
         # when the scope is None (caching off, or a context with live data).
-        self.memo = AnnotationCache(size, store=self.persistent, layer="memo")
+        # A workload-bound scope is reusable only by the identical workload,
+        # so its store tier is each run's one row (_RunRow), not a row per
+        # statement.
+        self.memo = AnnotationCache(
+            size,
+            store=None if self.config.enable_inter_query else self.persistent,
+            layer="memo",
+        )
 
     def _open_persistent(self):
         """Open the persistent memo when configured; ``None`` otherwise."""
@@ -194,6 +239,8 @@ class APDetector:
             )
             with stats.stage("detect"):
                 report = self.detect_in_context(context, stats=stats)
+            # Freed while the collector is off, so it never walks the run.
+            del context
         stats.statements = report.queries_analyzed
         observe_stage_seconds(stats)
         return report
@@ -249,7 +296,7 @@ class APDetector:
         if stats is None:
             stats = PipelineStats()
         corpus_key = self.input_key(queries, source) if self.persistent is not None else None
-        with stats.span("detect_batch") as batch_span:
+        with stats.span("detect_batch") as batch_span, collector_paused():
             # Whole-corpus replay: when a prior clean run of this exact input
             # (ordered exact texts + registry digest + thresholds + flags +
             # source) is in the persistent store, serve its final detections
@@ -266,8 +313,9 @@ class APDetector:
                 batch_span.attributes["statements"] = len(context.queries)
             with stats.stage("detect"):
                 report = self.detect_in_context(context, stats=stats)
-
-        stats.statements = len(context.queries)
+            stats.statements = len(context.queries)
+            # Freed while the collector is off, so it never walks the run.
+            del context
         if corpus_key is not None and not report.errors:
             # Only clean runs are replayable: a quarantined parse or rule
             # failure carries error records a replay could not reproduce.
@@ -354,11 +402,14 @@ class APDetector:
             use_data=self.config.enable_data,
         )
         memo_scope = self._memo_scope(context)
+        run = None
+        if memo_scope is not None and self.persistent is not None and self.memo.store is None:
+            run = _RunRow(self.persistent, memo_scope)
         threshold = self.config.confidence_threshold
         # Query analysis (Algorithm 2): rules chosen by statement type.
         for annotation in context.queries:
             for detection in self._detect_statement(
-                annotation, rule_context, memo_scope, errors
+                annotation, rule_context, memo_scope, errors, run
             ):
                 if detection.confidence >= threshold:
                     yield detection
@@ -406,10 +457,13 @@ class APDetector:
                         if detection.confidence >= threshold:
                             yield detection
         # One occupancy reading and one buffered write per detection pass
-        # (an abandoned stream() flushes on the next pass or at close()).
+        # (an abandoned stream() writes no run row; its other buffered rows
+        # flush on the next pass or at close()).
         metrics = get_metrics()
         if metrics.enabled:
             metrics.memo_entries.set(len(self.memo))
+        if run is not None:
+            run.write()
         if self.persistent is not None:
             self.persistent.flush()
 
@@ -419,6 +473,7 @@ class APDetector:
         rule_context: RuleContext,
         memo_scope: "str | None",
         errors: "list[PipelineError] | None" = None,
+        run: "_RunRow | None" = None,
     ) -> list[Detection]:
         statement = annotation.statement
         metrics = get_metrics()
@@ -426,8 +481,10 @@ class APDetector:
         if memoize:
             # A hit from either tier replays through the same path, so
             # stored results are byte-identical by construction.
-            cached = self.memo.get(annotation.raw, scope=memo_scope)
+            cached = self.memo.get(annotation.raw, scope=memo_scope, store=run)
             if cached is not None:
+                if run is not None:
+                    run.templates[annotation.raw] = cached
                 return [self._replay(d, annotation) for d in cached]
         detections: list[Detection] = []
         quarantined = False
@@ -470,11 +527,11 @@ class APDetector:
             # (ap-rank fills in scores) and must not pollute the memo.  A
             # statement with a quarantined rule failure is never memoized —
             # a replay could not reproduce its error record.
-            self.memo.put(
-                annotation.raw,
-                [dataclasses.replace(d, metadata=dict(d.metadata)) for d in detections],
-                scope=memo_scope,
-            )
+            templates = [dataclasses.replace(d, metadata=dict(d.metadata)) for d in detections]
+            self.memo.put(annotation.raw, templates, scope=memo_scope)
+            if run is not None:
+                run.templates[annotation.raw] = templates
+                run.analysed = True
         return detections
 
     @staticmethod

@@ -10,11 +10,22 @@ one store.
 
 Three tables mirror the three cache layers:
 
-* ``memo`` — ``(scope, raw) -> pickled detection templates``, the store
-  tier under the detector's memo (an
+* ``memo`` — the store tier under the detector's memo (an
   :class:`~repro.sqlparser.AnnotationCache` keyed by ``(memo scope, raw)``),
   so a stored hit is promoted into memory and replays through the same code
-  path (byte-identical by construction);
+  path (byte-identical by construction).  It holds two kinds of rows:
+
+  - with inter-query analysis off, one row per statement,
+    ``(scope, raw) -> pickled detection templates``: such a scope leaves
+    out the workload, so the rows replay across workloads;
+  - with it on, the scope digests every statement text of the run, so
+    only a run of the identical workload can read an entry.  Such a
+    workload-bound run is one *run row*, ``(scope, RUN_ROW) -> {raw:
+    templates}`` over every statement it memoized.  A run reads its row
+    at most once, on its first memory miss, and writes it at most once,
+    at the end of a pass that analysed a statement;
+    ``persistent_memo_lookups{layer="memo"}`` counts one lookup per run
+    that reads its row, not one per statement;
 * ``annotations`` — ``(scope, raw) -> pickled parse templates``, the store
   tier under the parse cache, scoped by dialect; a CREATE TABLE's template
   carries the table derived from it;
@@ -49,7 +60,13 @@ from ..obs import get_metrics
 #: Schema/payload format of the store; bump on any incompatible change so
 #: old files invalidate cleanly instead of unpickling garbage.  Format 3:
 #: a parse template is a (statement, annotation, CREATE TABLE's table) triple.
-FORMAT_VERSION = 3
+#: Format 4: a workload-bound run's memo entries are one run row, so the
+#: per-statement rows earlier formats kept under such scopes are purged
+#: once instead of lingering unread.
+FORMAT_VERSION = 4
+
+#: The ``raw`` key of a run row (no statement text is empty).
+RUN_ROW = ""
 
 #: Row ceiling per cache table; the flush trims oldest-first beyond it.
 MAX_ROWS = 65536
@@ -251,6 +268,15 @@ class PersistentMemo:
         payload = _dumps(value)
         if payload is not None:
             self._buffer(layer, (*key, payload))
+
+    def get_run(self, scope: str) -> "dict | None":
+        """The run row stored under a workload-bound memo scope, or None:
+        each statement text of that run mapped to its detection templates."""
+        value = self.get("memo", (scope, RUN_ROW))
+        return value if isinstance(value, dict) else None
+
+    def put_run(self, scope: str, templates: dict) -> None:
+        self.put("memo", (scope, RUN_ROW), templates)
 
     def get_corpus(self, key: str) -> "dict | None":
         value = self._fetch(

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import sqlite3
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -139,7 +140,10 @@ class ConnectedTable:
     """
 
     def __init__(self, connector: "Connector", definition: Table):
-        self._connector = connector
+        # Weak: the connector caches its tables, and a strong reference
+        # back would be a cycle that keeps the connector, and the file it
+        # opened, alive until the next garbage collection.
+        self._connector = weakref.proxy(connector)
         self.definition = definition
         self.name = definition.name
         self._rows: "list[dict[str, Any]] | None" = None
@@ -408,6 +412,10 @@ class SQLiteConnector(Connector):
                 ) from error
             self.name = str(path)
             self._owns_connection = True
+            # A connection keeps itself alive in a reference cycle until a
+            # garbage collection: close the file as soon as this connector
+            # is dropped.
+            weakref.finalize(self, self._connection.close)
 
     # ------------------------------------------------------------------
     # introspection

@@ -188,7 +188,10 @@ class LiveScanner:
                     )
                 if log is not None:
                     assign_frequencies(context, log)
-            return toolchain.check_context(context, stats=stats)
+            report = toolchain.check_context(context, stats=stats)
+            # Freed while the collector is off, so it never walks the run.
+            del context
+        return report
 
     def stream(
         self,

@@ -304,7 +304,7 @@ class MetricsRegistry:
         self.persistent_memo_lookups = self.counter(
             f"{NAMESPACE}_persistent_memo_lookups_total",
             "Persistent-memo lookups by layer (memo/annotations/corpus) "
-            "and result (hit/miss).",
+            "and result (hit/miss); a workload-bound run reads its memo row once.",
             ("layer", "result"),
         )
         self.persistent_memo_invalidations = self.counter(

@@ -133,7 +133,9 @@ class AnnotationCache:
     miss reads through to the store; a value found there is promoted into
     memory without being written back.  A value found in either tier counts
     as one hit.  Every :meth:`put` writes through, buffered until the
-    store's next flush.
+    store's next flush.  A lookup may name its own ``store`` to read
+    through to instead: the detection memo of a workload-bound run reads
+    that run's one stored row (see :class:`~repro.detector.detector.APDetector`).
 
     :meth:`get` is the one place a lookup is counted: in :attr:`stats`
     and, for the ``annotations`` (parse cache, the default), ``memo`` and
@@ -151,17 +153,20 @@ class AnnotationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, text: str, scope: str = "") -> object | None:
+    def get(self, text: str, scope: str = "", store: Any = None) -> object | None:
         """Return the value cached for ``text`` under ``scope``, or None
-        (LRU touch on hit)."""
+        (LRU touch on hit).  A memory miss reads through to ``store``, or
+        to :attr:`store` when none is given."""
         key = (scope, text)
         value = self._entries.get(key)
         if value is not None:
             self._entries.move_to_end(key)
-        elif self.store is not None:
-            value = self.store.get(self.layer, key)
-            if value is not None:
-                self._insert(key, value)
+        else:
+            store = self.store if store is None else store
+            if store is not None:
+                value = store.get(self.layer, key)
+                if value is not None:
+                    self._insert(key, value)
         if value is None:
             self.stats.misses += 1
         else:

@@ -936,7 +936,11 @@ def check_service_equivalence(
        restart) must reproduce its own cold run byte for byte — and must
        actually replay from the store, not re-detect.  Corrupting the file
        afterwards must fall back to a clean cold run: never crash, never
-       serve stale bytes.
+       serve stale bytes.  ``detect_batch``'s corpus replay answers that
+       restart before the memo is read, so a ``SQLCheck.check`` on a fresh
+       toolchain over a warm file must also equal its cold check, with
+       every statement a memo hit from the store, under ``config`` and
+       intra-only (the two shapes of stored memo rows).
     """
     import dataclasses as _dc
     import http.client
@@ -1059,6 +1063,32 @@ def check_service_equivalence(
             failures.append(OracleFailure(
                 "service-equivalence", "corrupt memo file",
                 "a corrupt memo file still served a persistent replay"))
+
+    for shape, checked in (
+        ("", base), (" (intra-only)", _dc.replace(base, enable_inter_query=False))
+    ):
+        subject = "warm restart of check" + shape
+        with tempfile.TemporaryDirectory() as tmp:
+            options = SQLCheckOptions(detector=_dc.replace(
+                checked, enable_cache=True,
+                persistent_memo_path=os.path.join(tmp, "memo.sqlite"),
+            ))
+            reports = []
+            for _ in range(2):  # cold, then a fresh toolchain over the warm file
+                toolchain = SQLCheck(options)
+                reports.append(toolchain.check(corpus))
+                toolchain.detector.close()
+        cold_check, warm_check = reports
+        if _report_bytes(warm_check.to_dict()) != _report_bytes(cold_check.to_dict()):
+            failures.append(OracleFailure(
+                "service-equivalence", subject,
+                "a restarted toolchain's check differs from its own cold check"))
+        if warm_check.stats.memo_hits != warm_check.queries_analyzed:
+            failures.append(OracleFailure(
+                "service-equivalence", subject,
+                f"the memo answered {warm_check.stats.memo_hits} of "
+                f"{warm_check.queries_analyzed} statements from the warm file "
+                "— the comparison was vacuous"))
     return failures
 
 

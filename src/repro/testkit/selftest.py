@@ -220,7 +220,8 @@ def run_selftest(
 
     # 10. service equivalence: detections served over a live keep-alive
     #     connection ≡ the in-process toolchain, and a warm restart over a
-    #     persistent memo ≡ its own cold run (corrupt files fall back cold).
+    #     persistent memo ≡ its own cold run (corrupt files fall back cold;
+    #     a restarted check takes every statement from the stored memo).
     result.oracle_failures.extend(
         check_service_equivalence(corpus, seed=seed, config=config)
     )

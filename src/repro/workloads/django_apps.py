@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import sqlite3
+import zlib
 from dataclasses import dataclass, field
 
 from ..model.antipatterns import AntiPattern
@@ -67,11 +68,17 @@ def reported_anti_patterns(app: DjangoApplication) -> set[AntiPattern]:
     return {_AP_BY_NAME[name] for name in app.reported_aps}
 
 
+def _app_seed(app: DjangoApplication) -> int:
+    """A per-application seed offset that is the same in every process
+    (``hash`` of a ``str`` is salted per process)."""
+    return zlib.crc32(app.name.encode()) % 1000
+
+
 def build_application_workload(app: DjangoApplication, *, seed: int = 11) -> list[str]:
     """Synthesise an ORM-style SQL workload exhibiting the application's
     reported anti-patterns (plus typical Django background noise such as
     generic ``id`` primary keys and ``SELECT *`` queries)."""
-    rng = random.Random(seed + hash(app.name) % 1000)
+    rng = random.Random(seed + _app_seed(app))
     prefix = app.name.lower().replace("-", "_")
     main = f"{prefix}_item"
     user = f"{prefix}_user"
@@ -149,7 +156,7 @@ def build_application_database(
     run in SQLite and filled with representative rows so the data-analysis
     rules (e.g. No Domain Constraint) have something to profile.
     """
-    rng = random.Random(seed + hash(app.name) % 1000)
+    rng = random.Random(seed + _app_seed(app))
     reported = reported_anti_patterns(app)
     prefix = app.name.lower().replace("-", "_")
     main = f"{prefix}_item"

@@ -1,17 +1,20 @@
-"""``check``, ``detect`` and ``scan`` run with the cyclic collector held off.
+"""``check``, ``detect``, ``detect_batch`` and ``scan`` run with the cyclic
+collector held off.
 
 Everything a run builds stays reachable until it returns, so a collection
 inside it frees nothing; the run pauses the collector and gives it back in
-the state it found it.
+the state it found it, after the run's context is freed.
 """
 from __future__ import annotations
 
 import contextlib
 import gc
+import weakref
 
 import pytest
 
 from repro import APDetector, SQLCheck
+from repro.context import builder
 from repro.context.builder import collector_paused
 from repro.core import sqlcheck
 from repro.detector import detector
@@ -41,6 +44,7 @@ def _collections_during(run) -> "list[int]":
 RUNS = {
     "check": lambda db: SQLCheck().check(STATEMENTS, database=db),
     "detect": lambda db: APDetector().detect(STATEMENTS, database=db),
+    "detect_batch": lambda db: APDetector().detect_batch(STATEMENTS),
     "scan": lambda db: scan(db, STATEMENTS),
 }
 
@@ -62,6 +66,41 @@ def test_a_run_collects_only_once_it_ends(name, monkeypatch):
     # when the collector comes back at the end of the run.
     assert _collections_during(lambda: RUNS[name](db)) in ([], [0])
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS) + ["check without a database"])
+def test_the_context_is_freed_before_the_collector_resumes(name, monkeypatch):
+    """The first collection after a run would otherwise walk every token,
+    statement and annotation of it, and free none of them."""
+    contexts: "list[weakref.ref]" = []
+    alive_at_resume: "list[bool]" = []
+    build = builder.ContextBuilder.build
+
+    def recording_build(self, *args, **kwargs):
+        context = build(self, *args, **kwargs)
+        contexts.append(weakref.ref(context))
+        return context
+
+    class Collector:
+        """The ``gc`` module, noting which contexts live when it resumes."""
+
+        isenabled = staticmethod(gc.isenabled)
+        disable = staticmethod(gc.disable)
+
+        @staticmethod
+        def enable():
+            alive_at_resume.extend(ref() is not None for ref in contexts)
+            gc.enable()
+
+    monkeypatch.setattr(builder.ContextBuilder, "build", recording_build)
+    monkeypatch.setattr(builder, "gc", Collector)
+    if name in RUNS:
+        RUNS[name](sqlite_database(
+            ["CREATE TABLE t (a INTEGER, b TEXT)"], {"t": [{"a": 1, "b": "x"}]}
+        ))
+    else:
+        SQLCheck().check(STATEMENTS)
+    assert alive_at_resume == [False]
 
 
 def test_a_collector_the_caller_turned_off_stays_off():

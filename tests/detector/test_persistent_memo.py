@@ -24,11 +24,14 @@ from repro.detector.persist import (
     REASON_CORRUPT_FILE,
     REASON_FORMAT,
     REASON_REGISTRY,
+    RUN_ROW,
     PersistentMemo,
 )
 from repro.obs import MetricsRegistry, swap_registry
+from repro.rules.base import QueryRule
 from repro.rules.registry import default_registry
 from repro.sqlparser import AnnotationCache
+from repro.testkit import CorpusGenerator
 from repro.testkit.oracles import detection_bytes
 
 CORPUS = [
@@ -68,8 +71,10 @@ class TestWarmRestart:
         assert detection_bytes(report) == detection_bytes(baseline)
 
     def test_statement_memo_survives_a_changed_corpus(self, tmp_path):
-        """A *different* corpus cannot ride the whole-corpus replay, but
-        per-statement entries for unchanged statements still hit."""
+        """A *different* corpus cannot ride the whole-corpus replay.  With
+        inter-query analysis on, its memo scope digests the whole workload,
+        so no stored entry applies and only the run's own duplicate
+        statement hits; its detections still equal a memoryless run's."""
         memo = tmp_path / "memo.sqlite"
         first = _detector(memo)
         first.detect_batch(CORPUS)
@@ -82,6 +87,25 @@ class TestWarmRestart:
         second.close()
         assert stats.parallel_mode != "persistent-replay"
         assert detection_bytes(report) == detection_bytes(reference)
+        assert (stats.memo_hits, stats.memo_misses) == (1, 4)
+
+    def test_intra_only_memo_survives_a_changed_corpus(self, tmp_path):
+        """Intra-only, the memo scope leaves the workload out, so every
+        unchanged statement hits the rows the first process stored."""
+        config = DetectorConfig(persistent_memo_path=str(tmp_path / "memo.sqlite"),
+                                enable_inter_query=False)
+        first = APDetector(config)
+        first.detect_batch(CORPUS)
+        first.close()
+
+        extended = CORPUS + ["SELECT id FROM users WHERE id = 7"]
+        second = APDetector(config)
+        report, stats = second.detect_batch(extended)
+        reference = APDetector(dataclasses.replace(config, persistent_memo_path=None)).detect(extended)
+        second.close()
+        assert stats.parallel_mode != "persistent-replay"
+        assert detection_bytes(report) == detection_bytes(reference)
+        assert (stats.memo_hits, stats.memo_misses) == (4, 1)
 
     def test_memo_info_reports_the_persistent_layer(self, tmp_path):
         detector = _detector(tmp_path / "memo.sqlite")
@@ -92,6 +116,150 @@ class TestWarmRestart:
         assert persistent["path"].endswith("memo.sqlite")
         assert persistent["memo_rows"] > 0
         assert persistent["corpus_rows"] >= 1
+
+
+#: A novel workload of 40 distinct statements.
+RUN = CorpusGenerator(7).corpus_sql(40)[:40]
+
+
+class TestRunRows:
+    """A workload-bound run (inter-query analysis on) is one ``memo`` row,
+    read at most once and written at most once per pass; intra-only runs
+    keep one row per statement."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> "list[tuple[str, tuple]]":
+        """Every ``(layer, key)`` the store is asked to buffer."""
+        puts: "list[tuple[str, tuple]]" = []
+        original = PersistentMemo.put
+
+        def put(self, layer, key, value):
+            puts.append((layer, key))
+            original(self, layer, key, value)
+
+        monkeypatch.setattr(PersistentMemo, "put", put)
+        return puts
+
+    @staticmethod
+    def _rule_calls(monkeypatch) -> "list[str]":
+        calls: "list[str]" = []
+        original = QueryRule.observed_check
+
+        def observed_check(self, annotation, context):
+            calls.append(self.name)
+            return original(self, annotation, context)
+
+        monkeypatch.setattr(QueryRule, "observed_check", observed_check)
+        return calls
+
+    @staticmethod
+    def _memo_lookups(metrics) -> "tuple[float, float]":
+        lookups = metrics.persistent_memo_lookups
+        return lookups.value(layer="memo", result="hit"), lookups.value(layer="memo", result="miss")
+
+    def test_a_novel_run_reads_once_and_buffers_one_row(self, tmp_path, monkeypatch):
+        puts = self._spy(monkeypatch)
+        metrics = MetricsRegistry(enabled=True)
+        previous = swap_registry(metrics)
+        try:
+            detector = _detector(tmp_path / "memo.sqlite")
+            detector.detect(RUN)
+            lookups = self._memo_lookups(metrics)
+            rows = detector.persistent.info()["memo_rows"]
+            detector.close()
+        finally:
+            swap_registry(previous)
+        assert lookups == (0, 1)
+        assert [key[1] for layer, key in puts if layer == "memo"] == [RUN_ROW]
+        assert rows == 1
+
+    def test_a_restart_replays_the_run_from_its_row(self, tmp_path, monkeypatch):
+        memo = tmp_path / "memo.sqlite"
+        cold_detector = _detector(memo)
+        cold = detection_bytes(cold_detector.detect(RUN))
+        cold_detector.close()
+
+        puts = self._spy(monkeypatch)
+        calls = self._rule_calls(monkeypatch)
+        metrics = MetricsRegistry(enabled=True)
+        previous = swap_registry(metrics)
+        try:
+            warm_detector = _detector(memo)
+            warm = warm_detector.detect(RUN)
+            lookups = self._memo_lookups(metrics)
+            warm_detector.close()
+        finally:
+            swap_registry(previous)
+        assert detection_bytes(warm) == cold
+        assert warm_detector.memo_info["hits"] == 40
+        assert (calls, lookups) == ([], (1, 0))
+        # Nothing was analysed, so nothing is written back.
+        assert [key for layer, key in puts if layer == "memo"] == []
+
+    def test_a_run_larger_than_the_cache_replays_whole(self, tmp_path):
+        config = DetectorConfig(persistent_memo_path=str(tmp_path / "memo.sqlite"), cache_size=8)
+        cold_detector = APDetector(config)
+        cold = detection_bytes(cold_detector.detect(RUN))
+        cold_detector.close()
+
+        metrics = MetricsRegistry(enabled=True)
+        previous = swap_registry(metrics)
+        try:
+            warm_detector = APDetector(config)
+            warm = warm_detector.detect(RUN)
+            warm_detector.close()
+        finally:
+            swap_registry(previous)
+        assert detection_bytes(warm) == cold
+        assert warm_detector.memo_info["hits"] == 40
+        assert self._memo_lookups(metrics) == (1, 0)  # the run row, read once
+
+    def test_the_row_covers_the_passs_memory_hits(self, tmp_path):
+        """An abandoned stream memoizes its first statements but writes no
+        row; the next pass hits them in memory and still stores them."""
+        memo = tmp_path / "memo.sqlite"
+        detector = _detector(memo)
+        stream = detector.stream(RUN)
+        next(stream)
+        stream.close()
+        assert 0 < len(detector.memo) < 40
+        detector.detect(RUN)
+        detector.close()
+
+        restarted = _detector(memo)
+        restarted.detect(RUN)
+        restarted.close()
+        assert restarted.memo_info["hits"] == 40
+
+    def test_a_pass_of_memory_hits_reads_and_writes_nothing(self, tmp_path, monkeypatch):
+        detector = _detector(tmp_path / "memo.sqlite")
+        detector.detect(RUN)
+        before = detector.persistent.hits + detector.persistent.misses
+        puts = self._spy(monkeypatch)
+        detector.detect(RUN)
+        after = detector.persistent.hits + detector.persistent.misses
+        detector.close()
+        assert after == before
+        assert [key for layer, key in puts if layer == "memo"] == []
+
+    def test_intra_only_runs_keep_one_row_per_statement(self, tmp_path, monkeypatch):
+        config = DetectorConfig(persistent_memo_path=str(tmp_path / "memo.sqlite"),
+                                enable_inter_query=False)
+        puts = self._spy(monkeypatch)
+        detector = APDetector(config)
+        detector.detect(RUN)
+        rows = detector.persistent.info()["memo_rows"]
+        detector.close()
+        texts = sorted(key[1] for layer, key in puts if layer == "memo")
+        assert texts == sorted(set(RUN))
+        assert rows == len(set(RUN))
+
+        calls = self._rule_calls(monkeypatch)
+        restarted = APDetector(config)
+        restarted.detect(RUN[::-1])  # another workload of the same statements
+        restarted.close()
+        assert calls == []
+        assert restarted.memo_info["hits"] == 40
 
 
 class TestStoreTier:
@@ -218,6 +386,30 @@ CREATE TABLE corpus (key TEXT PRIMARY KEY, payload BLOB NOT NULL);
 
 
 class TestOlderFormat:
+    def test_format_3_rows_are_purged_once(self, tmp_path):
+        """Format 3 kept a workload-bound run's entries one row per
+        statement; format 4 never reads them, so opening drops them."""
+        path = tmp_path / "memo.sqlite"
+        digest = default_registry().content_digest
+        store = PersistentMemo(path, registry_digest=digest)
+        for text in CORPUS:
+            store.put("memo", ("00" * 16, text), [])
+        store.close()
+        connection = sqlite3.connect(path)
+        connection.execute("UPDATE meta SET value = '3' WHERE key = 'format_version'")
+        connection.commit()
+        connection.close()
+
+        reopened = PersistentMemo(path, registry_digest=digest)
+        info = reopened.info()
+        reopened.close()
+        assert reopened.invalidations == 1
+        assert info["memo_rows"] == 0
+        again = PersistentMemo(path, registry_digest=digest)
+        again.close()
+        assert again.invalidations == 0
+
+
     def test_format_1_file_is_purged_once_and_runs_cold(self, tmp_path):
         path = tmp_path / "memo.sqlite"
         connection = sqlite3.connect(path)

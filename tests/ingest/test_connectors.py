@@ -1,10 +1,13 @@
 """Connector tests: URL resolution, SQLite introspection, row access."""
 from __future__ import annotations
 
+import gc
 import sqlite3
+import weakref
 
 import pytest
 
+from repro.context.builder import build_context
 from repro.ingest import (
     ConnectorError,
     SQLiteConnector,
@@ -87,6 +90,39 @@ class TestConnect:
     def test_memory_url_is_rejected(self):
         with pytest.raises(ConnectorError, match="sqlite3.Connection"):
             connect("sqlite::memory:")
+
+
+class TestRelease:
+    def test_a_dropped_context_closes_the_file_it_opened(self, sqlite_path):
+        """With the collector off, dropping a context built from a path
+        frees its connector, and the connector closes the file it opened:
+        neither waits for a garbage collection."""
+        gc.disable()
+        try:
+            context = build_context(["SELECT * FROM tenant"], database=str(sqlite_path))
+            connector = context.database
+            assert isinstance(connector, SQLiteConnector)
+            assert connector.get_table("tenant").row_count == len(TENANT_ROWS)
+            alive, connection = weakref.ref(connector), connector._connection
+            del context, connector
+            assert alive() is None
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                connection.execute("SELECT 1")
+        finally:
+            gc.enable()
+
+    def test_a_callers_connection_stays_open(self, sqlite_path):
+        connection = sqlite3.connect(str(sqlite_path))
+        gc.disable()
+        try:
+            context = build_context(["SELECT * FROM tenant"], database=connection)
+            alive = weakref.ref(context.database)
+            del context
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert connection.execute("SELECT COUNT(*) FROM tenant").fetchone() == (12,)
+        connection.close()
 
 
 class TestSQLiteIntrospection:

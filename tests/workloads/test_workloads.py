@@ -1,6 +1,11 @@
 """Tests for the workload / dataset generators."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.detector import APDetector
@@ -118,6 +123,35 @@ class TestDjangoApplications:
             detected = detector.detect(workload, database=database).types_detected()
             missing = reported_anti_patterns(app) - detected
             assert not missing, f"{app.name}: missing {missing}"
+
+
+    #: Prints one digest of every application's workload and rows.
+    DIGEST_SCRIPT = """
+import hashlib
+from repro.workloads import DJANGO_APPLICATIONS, build_application_workload
+from repro.workloads.django_apps import build_application_database
+
+digest = hashlib.sha256()
+for app in DJANGO_APPLICATIONS:
+    for statement in build_application_workload(app):
+        digest.update(statement.encode() + b"\\0")
+    for line in build_application_database(app, rows=40).iterdump():
+        digest.update(line.encode() + b"\\0")
+print(digest.hexdigest())
+"""
+
+    def test_generation_is_the_same_in_every_process(self):
+        """Table 4's inputs do not follow the per-process ``str`` hash salt."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", self.DIGEST_SCRIPT],
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=salt),
+                capture_output=True, text=True, timeout=120, check=True,
+            ).stdout
+            for salt in ("1", "2")
+        }
+        assert len(digests) == 1, digests
 
 
 class TestKaggleDatabases:
